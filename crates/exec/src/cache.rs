@@ -56,8 +56,8 @@ use crate::snapshot::WorldSnapshot;
 pub enum ExtractionMode {
     /// Zero-copy: build a [`FeasibleView`] — a compact candidate index
     /// whose adjacency words are generated shard-segment-wise from the
-    /// snapshot's borrowed CSR segments and masked against the
-    /// candidate bitmap. No per-query adjacency matrix is copied; the
+    /// snapshot's borrowed CSR segments and masked through a compact-id
+    /// table. No per-query adjacency matrix is copied; the
     /// per-query cost is the index build
     /// ([`ExecMetrics::extract_words_borrowed`](crate::ExecMetrics::extract_words_borrowed)).
     #[default]

@@ -52,7 +52,7 @@ mod io;
 
 pub use bitset::{for_each_zero_bit, BitSet, ZeroIter};
 pub use builder::GraphBuilder;
-pub use distance::{bounded_distances, bounded_distances_from, bounded_distances_into};
+pub use distance::{bounded_distances, bounded_distances_from};
 pub use error::GraphError;
 pub use graph::{EdgeRef, SocialGraph};
 pub use id::NodeId;

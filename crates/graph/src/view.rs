@@ -10,7 +10,27 @@
 //! rows (edge weights, stamping). The word matrix is generated
 //! shard-segment-wise: candidates are bucketed by home shard and each
 //! segment's CSR rows are scanned once, masking global neighbor ids
-//! against the candidate bitmap straight into packed compact-id words.
+//! through a compact-id table straight into packed compact-id words.
+//!
+//! # Cost model
+//!
+//! Extraction costs what the query reads, not the world size: the CSR
+//! rows the `s` Definition-1 rounds and the word matrix visit, plus
+//! `f log f` to number the `f` candidates in id order. The bounded
+//! distances come from a sparse kernel (`distance::with_reach`) that runs
+//! on a dense per-thread scratch — distances, `in_next` flags and compact
+//! ids, sized to the largest world the thread has seen — and resets it by
+//! walking the list of vertices it touched, never clearing or scanning the
+//! whole world. The dense oracle
+//! [`bounded_distances_from`](crate::bounded_distances_from) and
+//! `FeasibleGraph::extract_from` keep their own world-sized DP.
+//!
+//! Masking a neighbor id into compact-id words stays an array lookup in
+//! that scratch's compact-id table rather than a probe of the per-view
+//! `compact_of` hash map: the word-matrix loop does one lookup per CSR
+//! entry of every candidate row, and on the ledger's 194-person
+//! `paper194` workload a hash probe there made the SGQ median about a
+//! third slower (41 → 55 µs, 2-vCPU VM).
 //!
 //! The view implements [`CandidateTopology`](crate::CandidateTopology)
 //! with bit-for-bit the same candidate set, ordering, and adjacency words
@@ -21,7 +41,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::id::NodeId;
-use crate::segment::{AdjacencySource, GraphSegment, ShardedGraph};
+use crate::segment::{GraphSegment, ShardedGraph};
 use crate::topology::CandidateTopology;
 use crate::Dist;
 
@@ -59,56 +79,55 @@ impl FeasibleView {
     /// Build the radius-`s` candidate view of `initiator` over a sharded
     /// snapshot graph.
     ///
-    /// Runs the same Definition-1 bounded-distance DP as
-    /// `FeasibleGraph::extract_from`, then generates the masked adjacency
-    /// word matrix segment-wise instead of copying rows.
+    /// Cost follows what the query reads, not the world size: the CSR rows
+    /// the `s` Definition-1 rounds and the word matrix visit, plus
+    /// `f log f` to number the `f` candidates. The distances and the
+    /// compact-id table used for masking live in a dense per-thread
+    /// scratch, sized to the largest world the thread has seen and reset
+    /// by walking the vertices the call touched.
     pub fn extract(graph: &ShardedGraph, initiator: NodeId, s: usize) -> Self {
-        let dists = crate::bounded_distances_from(graph, initiator, s);
-        let n = graph.node_count();
         let shards = graph.shard_count();
-
-        // Candidate index: initiator first, then ascending original id —
-        // identical numbering to the materialized path.
-        let mut origin = Vec::new();
-        let mut compact_scratch: Vec<u32> = vec![u32::MAX; n];
-        origin.push(initiator);
-        compact_scratch[initiator.index()] = 0;
-        for v in 0..n {
-            if v != initiator.index() && dists[v].is_some() {
-                compact_scratch[v] = origin.len() as u32;
-                origin.push(NodeId(v as u32));
+        let (origin, dist, adj_words) = crate::distance::with_reach(graph, initiator, s, |reach| {
+            // Candidate index: initiator first, then ascending original
+            // id — identical numbering to the materialized path.
+            let f = reach.pairs.len();
+            let mut origin = Vec::with_capacity(f);
+            let mut dist = Vec::with_capacity(f);
+            origin.push(initiator);
+            dist.push(0);
+            for &(v, d) in reach.pairs {
+                if v != initiator.0 {
+                    origin.push(NodeId(v));
+                    dist.push(d);
+                }
             }
-        }
 
-        let f = origin.len();
-        let dist: Vec<Dist> = origin
-            .iter()
-            .map(|v| dists[v.index()].expect("kept vertices are reachable"))
-            .collect();
-
-        // Masked word matrix, generated shard-segment-wise: bucket the
-        // candidates by home shard, then scan each segment's CSR rows once,
-        // masking global neighbor ids against the candidate bitmap.
-        let adj_stride = f.div_ceil(64);
-        let mut adj_words = vec![0u64; f * adj_stride];
-        let mut by_shard: Vec<Vec<u32>> = vec![Vec::new(); shards];
-        for (ci, ov) in origin.iter().enumerate() {
-            by_shard[ov.index() % shards].push(ci as u32);
-        }
-        for (shard, members) in by_shard.iter().enumerate() {
-            let seg = graph.segment(shard);
-            for &ci in members {
-                let local = origin[ci as usize].index() / shards;
-                let (nbs, _weights) = seg.row(local);
-                let row = &mut adj_words[ci as usize * adj_stride..][..adj_stride];
-                for &u in nbs {
-                    let cu = compact_scratch[u as usize];
-                    if cu != u32::MAX {
-                        row[cu as usize / 64] |= 1u64 << (cu % 64);
+            // Masked word matrix, generated shard-segment-wise: bucket the
+            // candidates by home shard, then scan each segment's CSR rows
+            // once, masking global neighbor ids through the compact table.
+            let adj_stride = f.div_ceil(64);
+            let mut adj_words = vec![0u64; f * adj_stride];
+            let mut by_shard: Vec<Vec<u32>> = vec![Vec::new(); shards];
+            for (ci, ov) in origin.iter().enumerate() {
+                by_shard[ov.index() % shards].push(ci as u32);
+            }
+            for (shard, members) in by_shard.iter().enumerate() {
+                let seg = graph.segment(shard);
+                for &ci in members {
+                    let local = origin[ci as usize].index() / shards;
+                    let (nbs, _weights) = seg.row(local);
+                    let row = &mut adj_words[ci as usize * adj_stride..][..adj_stride];
+                    for &u in nbs {
+                        let cu = reach.compact[u as usize];
+                        if cu != u32::MAX {
+                            row[cu as usize / 64] |= 1u64 << (cu % 64);
+                        }
                     }
                 }
             }
-        }
+            (origin, dist, adj_words)
+        });
+        let f = origin.len();
 
         let mut order: Vec<u32> = (1..f as u32).collect();
         order.sort_unstable_by_key(|&i| (dist[i as usize], origin[i as usize].0));
@@ -128,7 +147,7 @@ impl FeasibleView {
             compact_of,
             dist,
             adj_words,
-            adj_stride,
+            adj_stride: f.div_ceil(64),
             order,
             order_pos,
             segments: (0..shards).map(|s| Arc::clone(graph.segment(s))).collect(),
