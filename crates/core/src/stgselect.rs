@@ -33,11 +33,10 @@
 //!     │          serving path a borrowed zero-copy `FeasibleView`
 //!     │          (compact index + one masked word matrix generated
 //!     │          segment-wise over the snapshot's CSR rows; nothing
-//!     │          copied), with the materialized `FeasibleGraph` kept
-//!     │          as the A/B oracle. Engines see either through
-//!     │          `CandidateTopology`, bit-identically.
-//!     │          [ExecConfig::extraction]    (extract_words_borrowed,
-//!     │                                       extract_words_copied)
+//!     │          copied); the materialized `FeasibleGraph` serves the
+//!     │          oracles and the paper figures. Engines see either
+//!     │          through `CandidateTopology`, bit-identically.
+//!     │                                      (extract_words_borrowed)
 //!     ▼
 //!  prepare   Definition-4 eligibility — delta'd from the run cache when
 //!     │      a cached calendar run covers the pivot [incremental_prep]

@@ -8,7 +8,7 @@ use stgq_core::{
     solve_sgq_controlled_on, solve_sgq_parallel_controlled_on, solve_stgq_controlled,
     solve_stgq_parallel_controlled_on, PivotArena, SelectConfig, SolveControl, SolveOutcome,
 };
-use stgq_graph::CandidateTopology;
+use stgq_graph::FeasibleView;
 use stgq_schedule::Cals;
 
 use crate::request::QuerySpec;
@@ -68,12 +68,10 @@ impl Engine {
 }
 
 /// Run one query spec with the chosen engine on a pre-extracted
-/// candidate topology (materialized `FeasibleGraph` or zero-copy
-/// `FeasibleView` — the engines are generic over both). Returns the
-/// uniform [`SolveOutcome`] plus, for heuristic engines, the
-/// feasibility-evaluation count.
-pub(crate) fn run_spec<G: CandidateTopology>(
-    fg: &G,
+/// zero-copy [`FeasibleView`]. Returns the uniform [`SolveOutcome`]
+/// plus, for heuristic engines, the feasibility-evaluation count.
+pub(crate) fn run_spec(
+    fg: &FeasibleView,
     calendars: Cals<'_>,
     spec: &QuerySpec,
     engine: Engine,

@@ -9,7 +9,7 @@ use stgq_core::{PivotArena, SelectConfig};
 use stgq_graph::SocialGraph;
 use stgq_schedule::Calendar;
 
-use crate::cache::{ExtractionMode, ShardedFeasibleCache};
+use crate::cache::StampedCache;
 use crate::metrics::{ExecCounters, ExecMetrics};
 use crate::obs::ExecObs;
 use crate::queue::{JobQueue, Ticket, TicketSlot};
@@ -22,14 +22,15 @@ use crate::worker::{run_entry, run_job, ExecShared, Job, Pending, WorkerPool};
 pub struct ExecConfig {
     /// Fixed worker-pool size; `0` means all available parallelism.
     pub workers: usize,
-    /// Initiator-shard count: the modulus partitioning both the
-    /// feasible-graph cache and the batch scheduler's job grouping.
+    /// Initiator-shard count: the modulus partitioning both caches and
+    /// the batch scheduler's job grouping.
     pub shards: usize,
     /// Auto-flush threshold: the admission queue drains itself once this
     /// many entries are waiting (an explicit [`Executor::flush`] drains
     /// earlier). There is no timer — draining is deterministic.
     pub max_batch: usize,
-    /// Total feasible-graph cache capacity, split across shards.
+    /// Total feasible-view cache capacity, split across shards (`0`
+    /// disables the cache: every query extracts its own view).
     pub cache_capacity: usize,
     /// Total version-stamped result-cache capacity, split across shards
     /// (`0` disables cross-batch result caching; within-batch request
@@ -49,12 +50,6 @@ pub struct ExecConfig {
     /// End-to-end latency at or above which a solve enters the
     /// slow-query log.
     pub slow_query_threshold: std::time::Duration,
-    /// How feasible-cache misses turn `(initiator, s)` into a candidate
-    /// topology: [`ExtractionMode::View`] (zero-copy, the default) or
-    /// [`ExtractionMode::Materialized`] (per-query `FeasibleGraph`, the
-    /// A/B reference path). Answers and search statistics are
-    /// bit-identical either way.
-    pub extraction: ExtractionMode,
 }
 
 impl Default for ExecConfig {
@@ -69,7 +64,6 @@ impl Default for ExecConfig {
             trace_ring: 256,
             slow_log: 16,
             slow_query_threshold: std::time::Duration::from_millis(10),
-            extraction: ExtractionMode::View,
         }
     }
 }
@@ -104,12 +98,11 @@ impl Executor {
         };
         let shards = cfg.shards.max(1);
         let shared = Arc::new(ExecShared {
-            cache: ShardedFeasibleCache::new(shards, cfg.cache_capacity),
-            results: crate::cache::ResultCache::new(shards, cfg.result_cache_capacity),
+            feasible: StampedCache::new(shards, cfg.cache_capacity),
+            results: StampedCache::new(shards, cfg.result_cache_capacity),
             counters: ExecCounters::default(),
             obs: ExecObs::new(cfg.trace_ring, cfg.slow_log, cfg.slow_query_threshold),
             jobs: JobQueue::new(),
-            extraction: cfg.extraction,
         });
         let pool = WorkerPool::spawn(&shared, workers);
         Executor {
@@ -302,8 +295,8 @@ impl Executor {
 
     /// Answer one request inline on the calling thread, against the
     /// current epoch. This is the low-latency single-query path (no
-    /// admission, no handoff); it still shares the feasible-graph cache,
-    /// counters and configuration with the batched path.
+    /// admission, no handoff); it still shares both caches, counters
+    /// and configuration with the batched path.
     pub fn execute_one(&self, request: PlanRequest) -> Result<PlanOutcome, ExecError> {
         let snapshot = self.snapshot.current().ok_or(ExecError::NoSnapshot)?;
         let select = *self.select.lock();
@@ -342,7 +335,7 @@ impl Executor {
     /// Point-in-time counters.
     pub fn metrics(&self) -> ExecMetrics {
         let c = &self.shared.counters;
-        let (hits, misses, cached) = self.shared.cache.stats();
+        let f = self.shared.feasible.stats();
         let r = self.shared.results.stats();
         ExecMetrics {
             queries: c.queries.load(Ordering::Relaxed),
@@ -350,13 +343,13 @@ impl Executor {
             batched_entries: c.batched_entries.load(Ordering::Relaxed),
             collapsed_entries: c.collapsed_entries.load(Ordering::Relaxed),
             cancelled: c.cancelled.load(Ordering::Relaxed),
-            feasible_cache_hits: hits,
-            feasible_cache_misses: misses,
-            cached_feasible_graphs: cached,
+            feasible_cache_hits: f.hits,
+            feasible_cache_misses: f.misses,
+            cached_feasible_graphs: f.len,
             result_cache_hits: r.hits,
             result_cache_misses: r.misses,
             cached_results: r.len,
-            result_cache_evicted_stale_shard: r.evicted_stale_shard,
+            result_cache_evicted_stale_shard: r.evicted_stale,
             result_cache_evicted_capacity: r.evicted_capacity,
             snapshot_publishes: c.snapshot_publishes.load(Ordering::Relaxed),
             snapshot_shards_rebuilt: c.snapshot_shards_rebuilt.load(Ordering::Relaxed),
@@ -373,7 +366,6 @@ impl Executor {
             prep_words_delta: c.prep_words_delta.load(Ordering::Relaxed),
             prep_words_rebuilt: c.prep_words_rebuilt.load(Ordering::Relaxed),
             run_cache_cross_solve_hits: c.run_cache_cross_solve_hits.load(Ordering::Relaxed),
-            extract_words_copied: c.extract_words_copied.load(Ordering::Relaxed),
             extract_words_borrowed: c.extract_words_borrowed.load(Ordering::Relaxed),
             workers: self.workers,
             shards: self.shards,

@@ -16,19 +16,20 @@
 //!    the batch-equivalence tests rely on).
 //! 2. **Shard batching.** The drain groups queued entries by
 //!    **initiator shard** (`initiator mod shards`) into per-shard jobs,
-//!    preserving submission order within a shard. Everything keyed by
-//!    initiator — above all the feasible-graph cache — is sharded the
-//!    same way, so one job touches one cache shard and same-initiator
-//!    queries run back to back against a warm cache entry. Within a
-//!    job, *identical* entries (same initiator, query, engine, no
-//!    per-entry deadline/cancel) are **collapsed**: solved once, the
-//!    outcome cloned to every ticket. On a serving workload with hot
-//!    queries this is where batching beats a per-query loop even on a
-//!    single core. Across batches (and the inline path) the same sharing
-//!    continues through the **version-stamped result cache**: finished
-//!    outcomes keyed by `(initiator, spec, engine)` and stamped with the
-//!    `(graph_version, calendar_version)` epoch they were solved on —
-//!    a repeat of a deterministic query on an unchanged world is
+//!    preserving submission order within a shard. The executor's one
+//!    cache type — a shard-stamped map partitioned by the same modulus —
+//!    holds both the zero-copy feasible views keyed by `(initiator, s)`
+//!    and finished outcomes keyed by `(initiator, spec, engine)`, so one
+//!    job touches one partition of each and same-initiator queries run
+//!    back to back against warm entries. Within a job, *identical*
+//!    entries (same initiator, query, engine, no per-entry
+//!    deadline/cancel) are **collapsed**: solved once, the outcome cloned
+//!    to every ticket. On a serving workload with hot queries this is
+//!    where batching beats a per-query loop even on a single core.
+//!    Across batches (and the inline path) the same sharing continues
+//!    through the **result cache**: each outcome is stamped with the
+//!    per-shard graph and calendar versions its solve read, and a repeat
+//!    of a deterministic query whose stamped shards are unmoved is
 //!    replayed, not re-solved
 //!    ([`ExecMetrics::result_cache_hits`]/[`ExecMetrics::result_cache_misses`]).
 //! 3. **Worker pool.** A fixed set of threads (spawned at construction,
@@ -80,7 +81,6 @@ mod serde_impls;
 mod snapshot;
 mod worker;
 
-pub use cache::ExtractionMode;
 pub use engine::Engine;
 pub use executor::{ExecConfig, Executor};
 pub use metrics::ExecMetrics;

@@ -51,6 +51,8 @@ use parking_lot::Mutex;
 use stgq_graph::{AdjacencySource, CandidateTopology, GraphSegment, ShardedGraph, SocialGraph};
 use stgq_schedule::{Calendar, CalendarShards};
 
+use crate::cache::Stamps;
+
 /// One immutable epoch of the world: shard-partitioned graph segments
 /// and calendar slices, each stamped with the version it was built at,
 /// plus the global `(graph_version, calendar_version)` pair.
@@ -204,23 +206,23 @@ impl WorldSnapshot {
         (0..shards as u32).filter(|&s| seen[s as usize]).collect()
     }
 
-    /// Graph-axis stamps for a cache entry built from `fg`: the
-    /// `(shard, version)` pairs of every shard the extraction read.
-    pub(crate) fn graph_stamps_for<G: CandidateTopology>(&self, fg: &G) -> Vec<(u32, u64)> {
-        self.read_shards(fg)
-            .into_iter()
-            .map(|s| (s, self.graph_shard_versions[s as usize]))
-            .collect()
-    }
-
-    /// Calendar-axis stamps for a cache entry built from `fg`: an STGQ
-    /// solve reads exactly its feasible graph's calendars, so only those
-    /// shards' calendar versions pin the answer.
-    pub(crate) fn calendar_stamps_for<G: CandidateTopology>(&self, fg: &G) -> Vec<(u32, u64)> {
-        self.read_shards(fg)
-            .into_iter()
-            .map(|s| (s, self.calendar_shard_versions[s as usize]))
-            .collect()
+    /// Read-set stamps for a cache entry built from `fg`: the
+    /// `(shard, version)` pairs of every shard the extraction read on
+    /// the graph axis and, with `calendars`, on the calendar axis too —
+    /// an STGQ solve reads exactly its feasible graph's calendars, so
+    /// only those shards' calendar versions pin the answer.
+    pub(crate) fn stamps_for<G: CandidateTopology>(&self, fg: &G, calendars: bool) -> Stamps {
+        let shards = self.read_shards(fg);
+        let at = |versions: &[u64]| shards.iter().map(|&s| (s, versions[s as usize])).collect();
+        Stamps {
+            modulus: self.shard_count(),
+            graph: at(&self.graph_shard_versions),
+            calendar: if calendars {
+                at(&self.calendar_shard_versions)
+            } else {
+                Vec::new()
+            },
+        }
     }
 }
 
@@ -346,11 +348,19 @@ mod tests {
             9,
             6,
         );
-        let both = FeasibleGraph::extract_from(snap.graph(), NodeId(0), 2);
-        assert_eq!(snap.graph_stamps_for(&both), vec![(0, 4), (1, 9)]);
-        assert_eq!(snap.calendar_stamps_for(&both), vec![(0, 2), (1, 6)]);
+        let both = snap.stamps_for(
+            &FeasibleGraph::extract_from(snap.graph(), NodeId(0), 2),
+            true,
+        );
+        assert_eq!(both.modulus, 2);
+        assert_eq!(both.graph, vec![(0, 4), (1, 9)]);
+        assert_eq!(both.calendar, vec![(0, 2), (1, 6)]);
         let odd_only = FeasibleGraph::extract_from(snap.graph(), NodeId(3), 1);
-        assert_eq!(snap.graph_stamps_for(&odd_only), vec![(1, 9)]);
-        assert_eq!(snap.calendar_stamps_for(&odd_only), vec![(1, 6)]);
+        assert_eq!(snap.stamps_for(&odd_only, true).graph, vec![(1, 9)]);
+        assert_eq!(snap.stamps_for(&odd_only, true).calendar, vec![(1, 6)]);
+        assert!(
+            snap.stamps_for(&odd_only, false).calendar.is_empty(),
+            "no calendar axis unless asked"
+        );
     }
 }

@@ -6,10 +6,11 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use stgq_core::{PivotArena, SelectConfig, SolveControl, StageTimings, StopCause};
+use stgq_graph::FeasibleView;
 use stgq_obs::{QueryTrace, StageBreakdown};
 use stgq_schedule::{Calendar, Cals};
 
-use crate::cache::{Extracted, ExtractionMode, ResultCache, ShardedFeasibleCache};
+use crate::cache::StampedCache;
 use crate::engine::{run_spec, Engine};
 use crate::metrics::ExecCounters;
 use crate::obs::ExecObs;
@@ -37,14 +38,13 @@ pub(crate) struct Job {
 /// State shared by the workers, the executor front end and batch callers
 /// helping to drain.
 pub(crate) struct ExecShared {
-    pub(crate) cache: ShardedFeasibleCache,
-    pub(crate) results: ResultCache,
+    /// Feasible views keyed by `(initiator, s)`, graph-axis stamps only.
+    pub(crate) feasible: StampedCache<usize, Arc<FeasibleView>>,
+    /// Finished outcomes keyed by `(initiator, spec, engine)`.
+    pub(crate) results: StampedCache<(QuerySpec, Engine), PlanOutcome>,
     pub(crate) counters: ExecCounters,
     pub(crate) obs: ExecObs,
     pub(crate) jobs: JobQueue<Job>,
-    /// How feasible-cache misses extract: zero-copy view (default) or
-    /// materialized graph (the A/B reference path).
-    pub(crate) extraction: ExtractionMode,
 }
 
 /// Nanoseconds of a duration, saturating at `u64::MAX`.
@@ -145,15 +145,23 @@ pub(crate) fn run_entry(
         }
     }
     shared.counters.queries.fetch_add(1, Ordering::Relaxed);
+    let (graph_versions, calendar_versions) = (
+        snapshot.graph_shard_versions(),
+        snapshot.calendar_shard_versions(),
+    );
+    let (initiator, s) = (request.initiator, request.spec.s());
+    let result_key = (request.spec, request.engine);
     // Cross-batch result cache: deterministic requests (no deadline, no
     // token) repeat across batches and inline calls; an identical query
     // whose stamped shards are all unmoved is simply replayed.
     if request.collapsible() {
-        if let Some(outcome) =
+        if let Some(mut outcome) =
             shared
                 .results
-                .get(request.initiator, request.spec, request.engine, snapshot)
+                .get(initiator, result_key, graph_versions, calendar_versions)
         {
+            outcome.result_cache_hit = true;
+            outcome.elapsed = Duration::ZERO;
             // The replay fast path is still an answered query: it
             // samples end-to-end latency (that is what makes the cache
             // visible as the distribution's low mode) and counts its
@@ -167,26 +175,26 @@ pub(crate) fn run_entry(
         }
     }
     let extract_t0 = Instant::now();
-    let (extracted, feasible_cache_hit) = shared.cache.get_or_extract(
-        snapshot,
-        request.initiator,
-        request.spec.s(),
-        shared.extraction,
-    );
-    let extract_ns = if feasible_cache_hit {
-        0
-    } else {
-        // Word-traffic accounting at the extraction site: the same
-        // count lands on the copied or the borrowed counter depending
-        // on which carrier paid for it.
-        let words_counter = match &extracted {
-            Extracted::Graph(_) => &shared.counters.extract_words_copied,
-            Extracted::View(_) => &shared.counters.extract_words_borrowed,
-        };
-        words_counter.fetch_add(extracted.words(), Ordering::Relaxed);
-        let d = ns(extract_t0.elapsed());
-        shared.obs.feasible_extract.record_ns(d);
-        d
+    let cached = shared
+        .feasible
+        .get(initiator, s, graph_versions, calendar_versions);
+    let feasible_cache_hit = cached.is_some();
+    let (view, extract_ns) = match cached {
+        Some(view) => (view, 0),
+        None => {
+            // Extraction happens outside the cache lock; the entry is
+            // stamped with the graph shards the view read.
+            let view = Arc::new(FeasibleView::extract(snapshot.graph(), initiator, s));
+            let stamps = snapshot.stamps_for(view.as_ref(), false);
+            shared.feasible.put(initiator, s, stamps, Arc::clone(&view));
+            shared
+                .counters
+                .extract_words_borrowed
+                .fetch_add(view.words_generated(), Ordering::Relaxed);
+            let d = ns(extract_t0.elapsed());
+            shared.obs.feasible_extract.record_ns(d);
+            (view, d)
+        }
     };
 
     let mut control = SolveControl::new();
@@ -213,26 +221,15 @@ pub(crate) fn run_entry(
     // shard content — the same invariant the stamped caches rely on).
     arena.install_world_versions(snapshot.calendar_shard_versions());
     let start = Instant::now();
-    let (outcome, evaluations) = match &extracted {
-        Extracted::Graph(fg) => run_spec(
-            fg.as_ref(),
-            calendars,
-            &request.spec,
-            request.engine,
-            select,
-            control,
-            arena,
-        ),
-        Extracted::View(view) => run_spec(
-            view.as_ref(),
-            calendars,
-            &request.spec,
-            request.engine,
-            select,
-            control,
-            arena,
-        ),
-    };
+    let (outcome, evaluations) = run_spec(
+        view.as_ref(),
+        calendars,
+        &request.spec,
+        request.engine,
+        select,
+        control,
+        arena,
+    );
     let elapsed = start.elapsed();
     let timings = arena.timings;
 
@@ -256,22 +253,13 @@ pub(crate) fn run_entry(
     };
     if request.collapsible() {
         // Stamp the entry with the shards this solve actually read: the
-        // feasible graph's shards on the graph axis, the same shards on
+        // feasible view's shards on the graph axis, the same shards on
         // the calendar axis for STGQ — and nothing at all for SGQ, which
         // no calendar edit can invalidate.
-        let calendar_stamps = match &request.spec {
-            QuerySpec::Stgq(_) => extracted.calendar_stamps(snapshot),
-            QuerySpec::Sgq(_) => Vec::new(),
-        };
-        shared.results.put(
-            request.initiator,
-            request.spec,
-            request.engine,
-            snapshot.shard_count(),
-            extracted.graph_stamps(snapshot),
-            calendar_stamps,
-            plan_outcome.clone(),
-        );
+        let stamps = snapshot.stamps_for(view.as_ref(), matches!(request.spec, QuerySpec::Stgq(_)));
+        shared
+            .results
+            .put(initiator, result_key, stamps, plan_outcome.clone());
     }
 
     // Latency spectrum + flight record for the actual solve.

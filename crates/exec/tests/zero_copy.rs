@@ -1,18 +1,17 @@
-//! Exec-layer equivalence suite for the zero-copy query path.
+//! Exec-layer suite for the zero-copy query path.
 //!
-//! The executor can extract per-query candidate spaces two ways — the
-//! materialized `FeasibleGraph` (the original reference path) and the
-//! borrowed `FeasibleView` over the snapshot's CSR segments (the
-//! default). These tests pin the properties the swap must preserve:
+//! The executor extracts every per-query candidate space as a borrowed
+//! `FeasibleView` over the snapshot's CSR segments. (Bit-identity of
+//! the view against the materialized `FeasibleGraph` is a property of
+//! the core entry points and is pinned there, by the facade's
+//! `tests/carrier_identity.rs`.) These tests pin what the executor adds
+//! on top:
 //!
-//! 1. **Bit-identity**: for every engine and every search-reduction
-//!    knob combination, the view path returns the same members, the
-//!    same objectives *and the same `SearchStats`* as the materialized
-//!    path — the view changes what extraction costs, never what the
-//!    search does.
-//! 2. **Determinism across worker counts**: a batch of exact queries
-//!    yields identical outcomes (stats included) on 1, 2 and 4 workers.
-//! 3. **Stamped-cache equivalence**: under arbitrary interleavings of
+//! 1. **Determinism across worker counts**: a batch of exact queries
+//!    yields identical outcomes on 1, 2 and 4 workers — every search
+//!    counter included, cache-effect counters aside — and two fresh
+//!    executors replaying the same inline sequence agree raw.
+//! 2. **Stamped-cache equivalence**: under arbitrary interleavings of
 //!    writes (republished epochs) and queries, the long-lived executor
 //!    with all caches warm agrees with a cacheless fresh-executor
 //!    oracle solving the same world from scratch.
@@ -20,7 +19,7 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use stgq_core::{SelectConfig, SgqQuery, SolveOutcome, StgqQuery};
-use stgq_exec::{Engine, ExecConfig, Executor, ExtractionMode, PlanRequest, QuerySpec};
+use stgq_exec::{Engine, ExecConfig, Executor, PlanRequest, QuerySpec};
 use stgq_graph::{Dist, GraphBuilder, NodeId, SocialGraph};
 use stgq_schedule::Calendar;
 
@@ -70,7 +69,6 @@ fn random_world(seed: u64, n: usize, edge_pct: f64) -> (SocialGraph, Vec<Calenda
 }
 
 fn executor_on(
-    mode: ExtractionMode,
     workers: usize,
     select: SelectConfig,
     graph: &SocialGraph,
@@ -80,7 +78,6 @@ fn executor_on(
         workers,
         shards: 4,
         select,
-        extraction: mode,
         // Replays would mask a divergence after the first solve; the
         // equivalence tests want every query to hit the engine.
         result_cache_capacity: 0,
@@ -88,101 +85,6 @@ fn executor_on(
     });
     exec.publish(graph, calendars, 1, 1);
     exec
-}
-
-/// Representative corners of the search-reduction knob grid: everything
-/// on (default), everything off, and each family toggled individually.
-fn config_grid() -> Vec<SelectConfig> {
-    vec![
-        SelectConfig::default(),
-        SelectConfig::NO_SEARCH_REDUCTION,
-        SelectConfig::default().with_materialize_on_touch(false),
-        SelectConfig::default().with_incremental_prep(false),
-        SelectConfig::default().with_shared_pivot_prep(false),
-        SelectConfig::default()
-            .with_core_peel_fixpoint(false)
-            .with_kplex_match_bound(false),
-        SelectConfig::default()
-            .with_sharp_pivot_floor(false)
-            .with_acq_pivot_floor(false),
-        SelectConfig::default()
-            .with_parent_completion_bound(false)
-            .with_pivot_promise_order(false),
-        SelectConfig::default()
-            .with_seed_restarts(0)
-            .with_availability_ordering(false),
-        SelectConfig::default().with_pool_pivot_buffers(false),
-    ]
-}
-
-/// A small mixed SGQ/STGQ workload across engines that report stats
-/// (plus one heuristic for objective-level agreement).
-fn workload(rng: &mut SmallRng, n: usize) -> Vec<PlanRequest> {
-    let mut reqs = Vec::new();
-    for _ in 0..4 {
-        let initiator = NodeId(rng.gen_range(0..n as u32));
-        let p = rng.gen_range(2..5usize);
-        let s = rng.gen_range(1..4usize);
-        let k = rng.gen_range(0..p.min(3));
-        let m = rng.gen_range(1..4usize);
-        let spec = if rng.gen_bool(0.5) {
-            QuerySpec::Sgq(SgqQuery::new(p, s, k).unwrap())
-        } else {
-            QuerySpec::Stgq(StgqQuery::new(p, s, k, m).unwrap())
-        };
-        let engine = match rng.gen_range(0..4u8) {
-            0 => Engine::Exact,
-            1 => Engine::Anytime { frame_budget: 8 },
-            2 => Engine::Greedy { restarts: 2 },
-            _ => Engine::Exact,
-        };
-        reqs.push(PlanRequest::new(initiator, spec, engine));
-    }
-    reqs
-}
-
-proptest::proptest! {
-    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
-
-    /// The tentpole invariant: across random worlds, queries, engines
-    /// and the whole knob grid, the zero-copy view path is
-    /// **bit-identical** to the materialized path — same solutions,
-    /// same objectives, same `SearchStats` (the `outcome` comparison
-    /// covers all three), same exactness claims.
-    #[test]
-    fn view_path_is_bit_identical_to_materialized(seed in 0u64..1 << 48) {
-        let mut rng = SmallRng::seed_from_u64(seed ^ 0xB17_1DE7);
-        let n = rng.gen_range(6..14usize);
-        let (graph, calendars) = random_world(seed, n, 0.35);
-        for cfg in config_grid() {
-            let view = executor_on(ExtractionMode::View, 1, cfg, &graph, &calendars);
-            let mat = executor_on(ExtractionMode::Materialized, 1, cfg, &graph, &calendars);
-            for req in workload(&mut rng, n) {
-                let a = view.execute_one(req.clone());
-                let b = mat.execute_one(req.clone());
-                match (a, b) {
-                    (Ok(a), Ok(b)) => {
-                        assert_eq!(
-                            a.outcome, b.outcome,
-                            "solution/stats divergence on {req:?}"
-                        );
-                        assert_eq!(a.exact, b.exact);
-                        assert_eq!(a.evaluations, b.evaluations);
-                    }
-                    (a, b) => assert_eq!(a, b, "error divergence"),
-                }
-            }
-            // The word counters must land on the carrier that paid.
-            let (vm, mm) = (view.metrics(), mat.metrics());
-            assert!(vm.extract_words_borrowed > 0);
-            assert_eq!(vm.extract_words_copied, 0);
-            assert!(mm.extract_words_copied > 0);
-            assert_eq!(mm.extract_words_borrowed, 0);
-            // Same worlds, same misses — the traffic *amounts* agree,
-            // only the path differs.
-            assert_eq!(vm.extract_words_borrowed, mm.extract_words_copied);
-        }
-    }
 }
 
 #[test]
@@ -203,25 +105,49 @@ fn executor_is_deterministic_across_worker_counts() {
         };
         reqs.push(PlanRequest::new(initiator, spec, Engine::Exact));
     }
+    // Which worker's arena sees a pivot first is up to the scheduler, so
+    // the cross-solve run cache's counters (and the prep words it saves)
+    // legitimately differ between pool sizes; every other field —
+    // members, objectives, every search counter — must not.
     let mut baseline = None;
     for workers in [1usize, 2, 4] {
-        let exec = executor_on(
-            ExtractionMode::View,
-            workers,
-            SelectConfig::default(),
-            &graph,
-            &calendars,
-        );
+        let exec = executor_on(workers, SelectConfig::default(), &graph, &calendars);
         let outcomes: Vec<_> = exec
             .execute_batch(reqs.clone())
             .into_iter()
-            .map(|r| r.expect("valid initiators").outcome)
+            .map(|r| sans_cache_effects(r.expect("valid initiators").outcome))
             .collect();
+        assert!(exec.metrics().extract_words_borrowed > 0);
         match &baseline {
             None => baseline = Some(outcomes),
             Some(b) => assert_eq!(&outcomes, b, "divergence at {workers} workers"),
         }
     }
+    // The raw counters are deterministic wherever one arena serves the
+    // queries in a fixed order. A batch is not such a place even on one
+    // worker (the calling thread helps drain with its own arena), but
+    // the inline path is: two fresh executors replaying the same
+    // sequence must agree on every field, cache-effect counters included.
+    let inline = || {
+        let exec = executor_on(1, SelectConfig::default(), &graph, &calendars);
+        reqs.iter()
+            .map(|r| {
+                exec.execute_one(r.clone())
+                    .expect("valid initiators")
+                    .outcome
+            })
+            .collect::<Vec<_>>()
+    };
+    let first = inline();
+    assert_eq!(first, inline(), "raw divergence between fresh executors");
+    assert_eq!(
+        first
+            .into_iter()
+            .map(sans_cache_effects)
+            .collect::<Vec<_>>(),
+        baseline.expect("three pool sizes ran"),
+        "inline and batched answers diverge"
+    );
 }
 
 #[test]
@@ -301,15 +227,9 @@ fn stamped_caches_agree_with_fresh_solves_across_interleavings() {
                 };
                 let req = PlanRequest::new(initiator, spec, Engine::Exact);
                 let cached = long.execute_one(req.clone()).unwrap();
-                let oracle = executor_on(
-                    ExtractionMode::View,
-                    1,
-                    SelectConfig::default(),
-                    &build(&edges),
-                    &calendars,
-                )
-                .execute_one(req)
-                .unwrap();
+                let oracle = executor_on(1, SelectConfig::default(), &build(&edges), &calendars)
+                    .execute_one(req)
+                    .unwrap();
                 assert_eq!(
                     sans_cache_effects(cached.outcome),
                     sans_cache_effects(oracle.outcome),
@@ -332,13 +252,7 @@ fn cross_solve_run_cache_hits_surface_in_exec_metrics() {
     // Result cache off: the repeat must re-solve, and its pivot prep
     // should then be fed by the arena's cross-solve run cache under the
     // snapshot handshake.
-    let exec = executor_on(
-        ExtractionMode::View,
-        1,
-        SelectConfig::default(),
-        &graph,
-        &calendars,
-    );
+    let exec = executor_on(1, SelectConfig::default(), &graph, &calendars);
     let req = PlanRequest::new(
         NodeId(0),
         QuerySpec::Stgq(StgqQuery::new(3, 2, 1, 2).unwrap()),
