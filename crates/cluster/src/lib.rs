@@ -46,7 +46,8 @@
 //!   log stamped with the resulting `(graph_version, calendar_version)`.
 //!   Replicas replay deltas into a local mirror and **epoch-swap** their
 //!   executor's immutable `WorldSnapshot` under the writer's stamps —
-//!   rebuilding only the half (graph CSR / calendar vector) that moved.
+//!   through the planner's own `republish`, which patches only the
+//!   shards (graph CSR segment / calendar block) whose stamps moved.
 //!   A node attaching fresh, or one whose acknowledged sequence has
 //!   fallen out of the log (**gap detection**), gets a full
 //!   `WorldState` sync and resumes deltas from there.

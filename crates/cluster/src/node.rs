@@ -13,8 +13,8 @@
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use stgq_exec::{ExecConfig, Executor, PlanRequest, WorldSnapshot};
-use stgq_service::{CalendarStore, MutableNetwork};
+use stgq_exec::{ExecConfig, Executor, PlanRequest};
+use stgq_service::{republish, CalendarStore, MutableNetwork};
 
 use stgq_graph::NodeId;
 use stgq_service::WorldState;
@@ -240,12 +240,11 @@ impl ClusterNode {
         }
     }
 
-    /// Rebuild and epoch-swap the executor's snapshot from the mirror,
-    /// re-freezing **only the dirty shards**: a delta batch confined to
-    /// one community re-derives that community's graph segment and/or
-    /// calendar slice and carries every other sub-snapshot over by `Arc`,
-    /// exactly like the single-process planner's drift check. Published
-    /// under the **writer's** epoch stamps.
+    /// Republish and epoch-swap the executor's snapshot from the mirror
+    /// through [`republish`], the planner's own assembly: a delta batch
+    /// confined to one community patches that community's graph segment
+    /// and/or calendar block and carries every other sub-snapshot over by
+    /// `Arc`. Published under the **writer's** epoch stamps.
     fn publish(&self, world: &ReplicaWorld) {
         debug_assert_eq!(
             world.network.version(),
@@ -253,39 +252,14 @@ impl ClusterNode {
             "mirror replays in lockstep with the writer's stamps"
         );
         debug_assert_eq!(world.calendars.version(), world.epoch.calendar);
-        let shards = self.exec.shards();
-        let prev = self.exec.snapshot().filter(|s| s.shard_count() == shards);
-        let mut segments = Vec::with_capacity(shards);
-        let mut graph_stamps = Vec::with_capacity(shards);
-        let mut cal_shards = Vec::with_capacity(shards);
-        let mut cal_stamps = Vec::with_capacity(shards);
-        for s in 0..shards {
-            let g = world.network.shard_version(s);
-            match &prev {
-                Some(p) if p.graph_shard_version(s) == g => {
-                    segments.push(Arc::clone(p.graph_segment(s)));
-                }
-                _ => segments.push(Arc::new(world.network.segment(s, shards))),
-            }
-            graph_stamps.push(g);
-            let c = world.calendars.shard_version(s);
-            match &prev {
-                Some(p) if p.calendar_shard_version(s) == c => {
-                    cal_shards.push(Arc::clone(p.calendar_shard(s)));
-                }
-                _ => cal_shards.push(Arc::new(world.calendars.shard_slice(s, shards))),
-            }
-            cal_stamps.push(c);
-        }
-        self.exec
-            .publish_snapshot(Arc::new(WorldSnapshot::from_parts(
-                segments,
-                graph_stamps,
-                cal_shards,
-                cal_stamps,
-                world.epoch.graph,
-                world.epoch.calendar,
-            )));
+        let (snapshot, _) = republish(
+            &world.network,
+            &world.calendars,
+            self.exec.shards(),
+            self.exec.snapshot().as_deref(),
+            (world.epoch.graph, world.epoch.calendar),
+        );
+        self.exec.publish_snapshot(Arc::new(snapshot));
     }
 
     fn execute(&self, requests: Vec<WireRequest>) -> NodeReply {
@@ -306,9 +280,11 @@ impl ClusterNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stgq_core::SgqQuery;
+    use stgq_core::reference::{solve_sgq_reference, solve_stgq_reference};
+    use stgq_core::{SelectConfig, SgqQuery, StgqQuery};
     use stgq_exec::{Engine, ExecError, QuerySpec};
     use stgq_graph::NodeId;
+    use stgq_schedule::SlotRange;
     use stgq_service::Planner;
 
     fn writer() -> Planner {
@@ -328,6 +304,109 @@ mod tests {
         ExecConfig {
             workers: 1,
             ..ExecConfig::default()
+        }
+    }
+
+    /// A 12-person world over 8 slots on 4 shards. `step` shapes the
+    /// friendships (`v — v + step`), `slots` marks whose calendars are
+    /// free, and `churn` re-weights one edge back and forth so the
+    /// world's versions climb far above what its state replays to.
+    fn world(step: u32, slots: SlotRange, churn: usize) -> Planner {
+        let mut p = Planner::with_exec_config(8, sharded_cfg());
+        let ids: Vec<NodeId> = (0..12).map(|i| p.add_person(format!("p{i}"))).collect();
+        for v in 0..12u32 {
+            let u = (v + step) % 12;
+            p.connect(
+                ids[v as usize],
+                ids[u as usize],
+                1 + u64::from((v * step) % 4),
+            )
+            .unwrap();
+        }
+        for (i, &id) in ids.iter().enumerate() {
+            if i % 3 != 1 {
+                p.set_availability_range(id, slots, true).unwrap();
+            }
+        }
+        for i in 0..churn {
+            let w = if i % 2 == 0 { 9 } else { 1 };
+            p.connect(ids[0], ids[step as usize], w).unwrap();
+            p.set_availability(ids[2], slots.lo, i % 2 == 1).unwrap();
+        }
+        p
+    }
+
+    fn sharded_cfg() -> ExecConfig {
+        ExecConfig {
+            workers: 1,
+            shards: 4,
+            ..ExecConfig::default()
+        }
+    }
+
+    #[test]
+    fn full_sync_of_another_world_replaces_every_published_shard() {
+        // World A is published first at versions far above anything world
+        // B's restore replays internally, and B is carried at versions
+        // above A's. Without the row-stamp flood in `force_version`, B's
+        // restored rows would look older than A's shard stamps and A's
+        // rows would be patched forward into B's epoch.
+        let a = world(1, SlotRange::new(0, 7), 60);
+        let b = world(5, SlotRange::new(2, 6), 150);
+        assert!(b.network().version() > a.network().version());
+        assert!(b.calendars().version() > a.calendars().version());
+        let node = ClusterNode::new(0, sharded_cfg());
+        for planner in [&a, &b] {
+            let reply = node.handle(NodeMsg::Replicate(ReplicationPayload::Full(
+                planner.world_state(),
+            )));
+            assert!(matches!(reply, NodeReply::Ack { .. }), "{reply:?}");
+        }
+
+        let snap = node.executor().snapshot().expect("full sync publishes");
+        let cals = b.calendars();
+        for s in 0..4 {
+            assert_eq!(
+                **snap.graph_segment(s),
+                b.network().segment(s, 4),
+                "segment {s}"
+            );
+            let block = snap.calendar_shard(s);
+            assert_eq!(block.rows(), 3);
+            for r in 0..3 {
+                assert_eq!(block.get(r), *cals.calendar(s + 4 * r), "shard {s} row {r}");
+            }
+        }
+
+        let graph = b.network().snapshot();
+        let cfg = SelectConfig::default();
+        let sgq = SgqQuery::new(3, 2, 1).unwrap();
+        let stgq = StgqQuery::new(3, 2, 1, 3).unwrap();
+        let requests: Vec<WireRequest> = (0..12u32)
+            .flat_map(|v| [QuerySpec::Sgq(sgq), QuerySpec::Stgq(stgq)].map(|spec| (v, spec)))
+            .map(|(v, spec)| WireRequest {
+                initiator: NodeId(v),
+                spec,
+                engine: Engine::Exact,
+                min_epoch: None,
+            })
+            .collect();
+        let NodeReply::Outcomes(outcomes) = node.handle(NodeMsg::Execute(requests.clone())) else {
+            panic!("execute must reply with outcomes");
+        };
+        for (request, outcome) in requests.iter().zip(outcomes) {
+            let q = request.initiator;
+            let oracle = match request.spec {
+                QuerySpec::Sgq(sq) => solve_sgq_reference(&graph, q, &sq, &cfg)
+                    .unwrap()
+                    .solution
+                    .map(|s| s.total_distance),
+                QuerySpec::Stgq(tq) => solve_stgq_reference(&graph, q, cals.calendars(), &tq, &cfg)
+                    .unwrap()
+                    .solution
+                    .map(|s| s.total_distance),
+            };
+            assert_eq!(outcome.unwrap().outcome.objective(), oracle, "{request:?}");
         }
     }
 

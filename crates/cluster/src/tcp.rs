@@ -69,7 +69,12 @@ fn write_frame(stream: &mut TcpStream, payload: &[u8]) -> std::io::Result<()> {
     stream.flush()
 }
 
-fn read_frame(stream: &mut TcpStream) -> std::io::Result<Vec<u8>> {
+/// The most a frame's payload buffer reserves before its bytes arrive:
+/// past this it grows only with bytes actually read, so a hostile length
+/// prefix costs the reader no more memory than the peer really sends.
+const FRAME_PREALLOC: usize = 64 * 1024;
+
+fn read_frame(stream: &mut impl Read) -> std::io::Result<Vec<u8>> {
     let mut len_buf = [0u8; 4];
     stream.read_exact(&mut len_buf)?;
     let len = u32::from_be_bytes(len_buf);
@@ -79,8 +84,17 @@ fn read_frame(stream: &mut TcpStream) -> std::io::Result<Vec<u8>> {
             format!("frame length {len} exceeds cap"),
         ));
     }
-    let mut payload = vec![0u8; len as usize];
-    stream.read_exact(&mut payload)?;
+    let mut payload = Vec::with_capacity((len as usize).min(FRAME_PREALLOC));
+    stream
+        .by_ref()
+        .take(u64::from(len))
+        .read_to_end(&mut payload)?;
+    if payload.len() != len as usize {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            format!("frame truncated at {} of {len} bytes", payload.len()),
+        ));
+    }
     Ok(payload)
 }
 
@@ -295,6 +309,23 @@ mod tests {
             workers: 1,
             ..ExecConfig::default()
         }
+    }
+
+    #[test]
+    fn read_frame_reads_before_it_allocates() {
+        // A header claiming the cap, then 3 bytes and EOF: an error, with
+        // no cap-sized buffer reserved on the header's word.
+        let mut wire = MAX_FRAME.to_be_bytes().to_vec();
+        wire.extend_from_slice(b"abc");
+        let err = read_frame(&mut wire.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+        // Over the cap is refused before any payload is read.
+        let err = read_frame(&mut (MAX_FRAME + 1).to_be_bytes().as_slice()).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        // A whole frame still round-trips.
+        let mut wire = 5u32.to_be_bytes().to_vec();
+        wire.extend_from_slice(b"hello");
+        assert_eq!(read_frame(&mut wire.as_slice()).unwrap(), b"hello");
     }
 
     #[test]

@@ -216,7 +216,7 @@ fn run_stgq_heuristic<G: CandidateTopology>(
 ) -> HeuristicStgq {
     let p = query.p();
     let m = query.m();
-    let horizon = calendars.first().map(Calendar::horizon).unwrap_or(0);
+    let horizon = calendars.horizon();
     let mut evaluations = 0u64;
     let mut best: Option<(Vec<u32>, Dist, SlotRange, usize)> = None;
     let mut scratch = SearchStats::default();

@@ -362,7 +362,7 @@ pub fn solve_stgq_parallel_controlled_on<'a, G: CandidateTopology>(
 
     let cfg = cfg.normalized();
     let m = query.m();
-    let horizon = calendars.first().map(Calendar::horizon).unwrap_or(0);
+    let horizon = calendars.horizon();
     // Same promise order as the sequential engine (shared helper): pivots
     // the initiator cannot host are dropped, and with promise ordering on
     // the rest are claimed longest-initiator-run first so early workers

@@ -99,7 +99,7 @@ use stgq_graph::{
     for_each_zero_bit, BitSet, CandidateTopology, Dist, FeasibleGraph, NodeId, SocialGraph,
 };
 use stgq_schedule::pivot::{pivot_interval, pivot_of_window, pivot_slots};
-use stgq_schedule::{Calendar, Cals, SlotId, SlotRange};
+use stgq_schedule::{Calendar, CalendarRef, Cals, SlotId, SlotRange};
 
 use crate::incumbent::Incumbent;
 use crate::inputs::check_temporal_inputs;
@@ -209,7 +209,7 @@ pub fn solve_stgq_controlled<'a, G: CandidateTopology>(
             stats,
         };
     }
-    let horizon = calendars.get(0).horizon();
+    let horizon = calendars.horizon();
 
     let q_cal = calendars.get(fg.origin(0).index());
     if p == 1 {
@@ -384,7 +384,7 @@ pub fn solve_stgq_controlled<'a, G: CandidateTopology>(
 /// calendar order. Shared by the sequential and parallel engines so the
 /// two cannot drift.
 pub(crate) fn promise_ordered_pivots(
-    q_cal: &Calendar,
+    q_cal: CalendarRef<'_>,
     horizon: usize,
     m: usize,
     promise_order: bool,
@@ -950,14 +950,14 @@ impl PivotArena {
 /// The calendar-absolute maximal available run through `pivot`, or
 /// `None` when the person is busy at the pivot — the unit the
 /// [`SelectConfig::incremental_prep`] run cache stores. Runs on the
-/// calendar's backing words directly ([`Calendar::words`] keeps bits at
+/// calendar's backing words directly ([`CalendarRef::words`] keeps bits at
 /// the horizon and beyond zero, so `run_through_bit`'s packed-form
 /// contract holds with no re-basing), which makes a cache miss
 /// O(run-length / 64) word scans rather than a per-slot probe walk.
 ///
 /// [`SelectConfig::incremental_prep`]: crate::SelectConfig::incremental_prep
 #[inline]
-fn unclipped_run(cal: &Calendar, horizon: usize, pivot: SlotId) -> Option<SlotRange> {
+fn unclipped_run(cal: CalendarRef<'_>, horizon: usize, pivot: SlotId) -> Option<SlotRange> {
     run_through_bit(cal.words(), horizon, pivot).map(|(lo, hi)| SlotRange::new(lo, hi))
 }
 

@@ -124,7 +124,7 @@ impl Executor {
     /// the epoch they started with; there is nothing to wait for.
     ///
     /// Publication cost is tracked per shard: each of the new epoch's
-    /// graph segments and calendar slices counts as *reused* when it is
+    /// graph segments and calendar blocks counts as *reused* when it is
     /// the same `Arc` the previous epoch carried and *rebuilt* otherwise
     /// ([`ExecMetrics::snapshot_shards_reused`] /
     /// [`ExecMetrics::snapshot_shards_rebuilt`]).

@@ -44,7 +44,7 @@ pub struct ExecMetrics {
     pub result_cache_evicted_capacity: u64,
     /// World snapshots published into the epoch cell.
     pub snapshot_publishes: u64,
-    /// Per-shard sub-snapshots (graph segments + calendar slices) that
+    /// Per-shard sub-snapshots (graph segments + calendar blocks) that
     /// publication actually rebuilt — for an incremental writer this
     /// tracks the dirty shards, not the world size.
     pub snapshot_shards_rebuilt: u64,

@@ -4,8 +4,9 @@
 //! The executor's read path never sees mutable state: every solve runs
 //! against a [`WorldSnapshot`] — the social graph as `S` residue-class
 //! CSR segments ([`GraphSegment`], vertex `v` homed in shard `v % S`)
-//! plus the calendars partitioned the same way, each shard carrying the
-//! **version it was last mutated at**. `S` is the same initiator-shard
+//! plus the calendars partitioned the same way into flat word blocks
+//! ([`CalendarBlock`], person `v`'s availability at row `v / S` of block
+//! `v % S`), each shard carrying the **version it was last mutated at**. `S` is the same initiator-shard
 //! modulus the batch scheduler and both caches use, so a mutation
 //! touching one person dirties exactly the shard that also keys their
 //! cached work.
@@ -14,10 +15,11 @@
 //!
 //! ```text
 //!            writer (planner, or a cluster node's mirror)
-//!   WorldDelta ──touch──▶ per-shard version vector moves on the
-//!                         touched shards only
-//!                │ publish: rebuild the touched segments,
-//!                │          Arc-reuse the other S − 1
+//!   WorldDelta ──touch──▶ per-shard and per-row version stamps move
+//!                         on the touched shards and rows only
+//!                │ publish: patch the touched shards' previous
+//!                │          segments/blocks (re-read only the rows
+//!                │          stamped since), Arc-reuse the other S − 1
 //!                ▼
 //!   WorldSnapshot { segments[0..S], shard versions v[0..S] }
 //!                │ one Arc swap into the epoch cell
@@ -36,7 +38,12 @@
 //! when done — **writers never block in-flight solves, and solves never
 //! block writers**. Because untouched shards are `Arc`-reused, a delta
 //! confined to one community republishes in O(dirty shard), not O(n) —
-//! the property that opens the 10^5–10^6-member regime.
+//! the property that opens the 10^5–10^6-member regime. And because a
+//! dirty shard is *patched* from its previous-epoch copy
+//! ([`GraphSegment::patch`], [`CalendarBlock::patch`]) rather than
+//! re-frozen from the mutable store, that O(dirty shard) is a handful of
+//! slice copies plus the rows the delta actually touched. The writers'
+//! shared assembly loop is `stgq_service::republish`.
 //!
 //! The per-shard stamps obey one invariant the caches rely on: **equal
 //! shard version ⇒ identical shard content**. Writers maintain it by
@@ -49,12 +56,12 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use stgq_graph::{AdjacencySource, CandidateTopology, GraphSegment, ShardedGraph, SocialGraph};
-use stgq_schedule::{Calendar, CalendarShards};
+use stgq_schedule::{Calendar, CalendarBlock, CalendarShards};
 
 use crate::cache::Stamps;
 
 /// One immutable epoch of the world: shard-partitioned graph segments
-/// and calendar slices, each stamped with the version it was built at,
+/// and calendar blocks, each stamped with the version it was built at,
 /// plus the global `(graph_version, calendar_version)` pair.
 #[derive(Clone, Debug)]
 pub struct WorldSnapshot {
@@ -68,9 +75,9 @@ pub struct WorldSnapshot {
 
 impl WorldSnapshot {
     /// Assemble an epoch from per-shard parts — the incremental
-    /// publication path: the writer passes `Arc`-reused segments for
-    /// untouched shards and freshly built ones for dirty shards, with
-    /// each shard's last-mutation version.
+    /// publication path: the writer passes `Arc`-reused segments and
+    /// blocks for untouched shards and patched ones for dirty shards,
+    /// with each shard's last-mutation version.
     ///
     /// # Panics
     /// Panics if the four per-shard vectors disagree on the shard count,
@@ -79,7 +86,7 @@ impl WorldSnapshot {
     pub fn from_parts(
         segments: Vec<Arc<GraphSegment>>,
         graph_shard_versions: Vec<u64>,
-        calendar_shards: Vec<Arc<Vec<Calendar>>>,
+        calendar_shards: Vec<Arc<CalendarBlock>>,
         calendar_shard_versions: Vec<u64>,
         graph_version: u64,
         calendar_version: u64,
@@ -89,7 +96,7 @@ impl WorldSnapshot {
         assert_eq!(
             calendar_shards.len(),
             shards,
-            "one calendar slice per shard"
+            "one calendar block per shard"
         );
         assert_eq!(calendar_shard_versions.len(), shards, "one stamp per shard");
         WorldSnapshot {
@@ -185,8 +192,9 @@ impl WorldSnapshot {
         self.graph.segment(shard)
     }
 
-    /// One shard's calendar slice (for `Arc`-reuse on republication).
-    pub fn calendar_shard(&self, shard: usize) -> &Arc<Vec<Calendar>> {
+    /// One shard's calendar block (for `Arc`-reuse and patching on
+    /// republication).
+    pub fn calendar_shard(&self, shard: usize) -> &Arc<CalendarBlock> {
         self.calendars.shard(shard)
     }
 
@@ -341,9 +349,10 @@ mod tests {
                 (0..2).map(|s| Arc::clone(sg.segment(s))).collect()
             },
             vec![4, 9],
-            (0..2)
-                .map(|_| Arc::new(vec![Calendar::new(4); 2]))
-                .collect(),
+            {
+                let cals = CalendarShards::from_flat(&[Calendar::new(4), Calendar::new(4)], 1);
+                vec![Arc::clone(cals.shard(0)); 2]
+            },
             vec![2, 6],
             9,
             6,

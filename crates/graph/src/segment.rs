@@ -7,8 +7,19 @@
 //! touching one person dirties exactly the shard that also keys their
 //! cached work. Each shard's adjacency is an independent immutable CSR
 //! [`GraphSegment`] (neighbor ids stay **global**); a snapshot
-//! publication that only touched shard `s` rebuilds that one segment and
-//! `Arc`-reuses the other `S − 1`.
+//! publication that only touched shard `s` republishes that one segment
+//! and `Arc`-reuses the other `S − 1`.
+//!
+//! The republished segment is a **patch** of the previous epoch's
+//! ([`GraphSegment::patch`]), not a rebuild: given the sorted local rows
+//! whose adjacency changed, every clean span between two dirty rows is
+//! copied with one `extend_from_slice` per array and its offsets shifted,
+//! and only the dirty rows (plus rows appended by growth) are re-read
+//! from the mutable store. A one-edge write therefore costs two slice
+//! copies and two re-emitted rows instead of a walk over every row of
+//! the shard. The patch is bit-identical to a from-scratch
+//! [`GraphSegment::build`], and patching the empty segment *is* the
+//! from-scratch build.
 //!
 //! The traversal kernels ([`bounded_distances_from`] and
 //! [`FeasibleGraph::extract_from`]) are generic over [`AdjacencySource`],
@@ -64,21 +75,73 @@ impl GraphSegment {
         I: IntoIterator<Item = R>,
         R: IntoIterator<Item = (u32, Dist)>,
     {
-        let mut offsets = vec![0u32];
-        let mut neighbors = Vec::new();
-        let mut weights = Vec::new();
+        let mut seg = GraphSegment::default();
         for row in rows {
-            for (nb, w) in row {
-                neighbors.push(nb);
-                weights.push(w);
+            seg.push_row(row);
+        }
+        seg
+    }
+
+    /// Build the `rows`-row segment from `prev` (the same shard as an
+    /// earlier epoch published it) and the strictly ascending local row
+    /// indices `dirty` whose adjacency changed since. Each clean span of
+    /// `prev` between two dirty rows is copied wholesale with its offsets
+    /// shifted; dirty rows and rows past `prev`'s end (growth) are
+    /// re-emitted from `row`, which yields one local row's sorted
+    /// `(global neighbor, weight)` list.
+    ///
+    /// The result equals [`build`](Self::build) over every row of the
+    /// shard, provided each row absent from `dirty` is unchanged since
+    /// `prev`. Patching [`GraphSegment::default()`] (no rows) re-emits
+    /// every row: the from-scratch build. Dirty indices at or past
+    /// `prev`'s end are ignored (those rows are re-read anyway).
+    pub fn patch<R>(
+        prev: &GraphSegment,
+        rows: usize,
+        dirty: &[usize],
+        mut row: impl FnMut(usize) -> R,
+    ) -> Self
+    where
+        R: IntoIterator<Item = (u32, Dist)>,
+    {
+        debug_assert!(dirty.windows(2).all(|w| w[0] < w[1]), "dirty rows ascend");
+        let keep = prev.rows().min(rows);
+        let mut seg = GraphSegment {
+            offsets: Vec::with_capacity(rows + 1),
+            neighbors: Vec::with_capacity(prev.neighbors.len()),
+            weights: Vec::with_capacity(prev.weights.len()),
+        };
+        seg.offsets.push(0);
+        // `next` is the first row not yet emitted; each dirty row ends a
+        // clean span `next..d`, and `keep` ends the last one.
+        let mut next = 0;
+        let ends = dirty.iter().copied().take_while(|&d| d < keep);
+        for d in ends.chain(std::iter::once(keep)) {
+            let (lo, hi) = (prev.offsets[next], prev.offsets[d]);
+            let base = seg.neighbors.len() as u32;
+            seg.neighbors
+                .extend_from_slice(&prev.neighbors[lo as usize..hi as usize]);
+            seg.weights
+                .extend_from_slice(&prev.weights[lo as usize..hi as usize]);
+            seg.offsets
+                .extend(prev.offsets[next + 1..=d].iter().map(|&o| o - lo + base));
+            if d < keep {
+                seg.push_row(row(d));
             }
-            offsets.push(neighbors.len() as u32);
+            next = d + 1;
         }
-        GraphSegment {
-            offsets,
-            neighbors,
-            weights,
+        for r in keep..rows {
+            seg.push_row(row(r));
         }
+        seg
+    }
+
+    fn push_row(&mut self, row: impl IntoIterator<Item = (u32, Dist)>) {
+        for (nb, w) in row {
+            self.neighbors.push(nb);
+            self.weights.push(w);
+        }
+        self.offsets.push(self.neighbors.len() as u32);
     }
 
     /// Number of local rows (vertices homed in this shard).
@@ -99,6 +162,17 @@ impl GraphSegment {
     pub fn row(&self, r: usize) -> (&[u32], &[Dist]) {
         let (s, e) = (self.offsets[r] as usize, self.offsets[r + 1] as usize);
         (&self.neighbors[s..e], &self.weights[s..e])
+    }
+}
+
+impl Default for GraphSegment {
+    /// The segment with no rows.
+    fn default() -> Self {
+        GraphSegment {
+            offsets: vec![0],
+            neighbors: Vec::new(),
+            weights: Vec::new(),
+        }
     }
 }
 
@@ -250,6 +324,42 @@ mod tests {
                             assert_eq!(fg_flat.edge_weight(c, nb), fg_sharded.edge_weight(c, nb));
                         }
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_patch_equals_the_segment_built_from_scratch() {
+        let rows_of = |g: &SocialGraph, shards: usize, s: usize| {
+            let n = g.node_count();
+            let rows: Vec<Vec<(u32, Dist)>> = (s..n)
+                .step_by(shards)
+                .map(|v| {
+                    let (nbs, ws) = g.row_slices(NodeId(v as u32));
+                    nbs.iter().copied().zip(ws.iter().copied()).collect()
+                })
+                .collect();
+            rows
+        };
+        for seed in 0..6u64 {
+            let (old, new) = (random_graph(seed, 40, 15), random_graph(seed + 99, 46, 15));
+            for shards in [1usize, 3, 8] {
+                for s in 0..shards {
+                    let (was, now) = (rows_of(&old, shards, s), rows_of(&new, shards, s));
+                    let prev = GraphSegment::build(was.iter().map(|r| r.iter().copied()));
+                    let scratch = GraphSegment::build(now.iter().map(|r| r.iter().copied()));
+                    let dirty: Vec<usize> = (0..was.len()).filter(|&r| was[r] != now[r]).collect();
+                    let patched =
+                        GraphSegment::patch(&prev, now.len(), &dirty, |r| now[r].iter().copied());
+                    assert_eq!(patched, scratch, "seed {seed} shard {s}/{shards}");
+                    let empty = GraphSegment::default();
+                    let full =
+                        GraphSegment::patch(&empty, now.len(), &[], |r| now[r].iter().copied());
+                    assert_eq!(
+                        full, scratch,
+                        "patching the empty segment is the full build"
+                    );
                 }
             }
         }

@@ -6,6 +6,11 @@ use crate::{ScheduleError, SlotId, SlotRange};
 /// all-busy; generators and tests mark ranges available. All run/window
 /// queries are inclusive-range based, mirroring how the paper talks about
 /// activity periods (`[ts2, ts4]` etc.).
+///
+/// The read-only queries live on [`CalendarRef`], the borrowed form a
+/// sharded snapshot hands out; `Calendar` delegates to them through
+/// [`as_ref`](Self::as_ref), so owned and borrowed calendars answer from
+/// one implementation.
 #[derive(Clone, PartialEq, Eq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Calendar {
@@ -14,6 +19,156 @@ pub struct Calendar {
 }
 
 const WORD_BITS: usize = 64;
+
+/// A borrowed, read-only calendar: one row of availability words plus
+/// its horizon. `Copy` — what [`Cals::get`](crate::Cals::get) and
+/// [`CalendarShards::get`](crate::CalendarShards::get) return, whether
+/// the row lives in an owned [`Calendar`] or inside a flat calendar
+/// block.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct CalendarRef<'a> {
+    pub(crate) words: &'a [u64],
+    pub(crate) horizon: usize,
+}
+
+impl<'a> CalendarRef<'a> {
+    /// The number of slots this calendar covers.
+    #[inline]
+    pub fn horizon(self) -> usize {
+        self.horizon
+    }
+
+    /// The backing availability words, bit `t % 64` of word `t / 64` set ⇔
+    /// slot `t` available. Bits at `horizon` and beyond are zero.
+    #[inline]
+    pub fn words(self) -> &'a [u64] {
+        self.words
+    }
+
+    /// Availability of `slot`.
+    ///
+    /// # Panics
+    /// Panics if `slot >= horizon`.
+    #[inline]
+    pub fn is_available(self, slot: SlotId) -> bool {
+        assert!(
+            slot < self.horizon,
+            "slot {slot} out of horizon {}",
+            self.horizon
+        );
+        (self.words[slot / WORD_BITS] >> (slot % WORD_BITS)) & 1 == 1
+    }
+
+    /// Number of available slots.
+    pub fn count_available(self) -> usize {
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Iterate available slots ascending.
+    pub fn available_slots(self) -> impl Iterator<Item = SlotId> + 'a {
+        (0..self.horizon).filter(move |&s| self.is_available(s))
+    }
+
+    /// Whether every slot of the window `[start, start+m-1]` is available.
+    ///
+    /// Returns `false` (rather than panicking) if the window does not fit in
+    /// the horizon — callers sweep window starts and rely on this.
+    pub fn available_in_window(self, start: SlotId, m: usize) -> bool {
+        debug_assert!(m > 0);
+        match start.checked_add(m) {
+            Some(end) if end <= self.horizon => (start..end).all(|s| self.is_available(s)),
+            _ => false,
+        }
+    }
+
+    /// The maximal run of consecutive available slots that contains `slot`,
+    /// clipped to `bounds`. `None` if `slot` is busy or outside `bounds`.
+    pub fn run_containing(self, slot: SlotId, bounds: SlotRange) -> Option<SlotRange> {
+        if !bounds.contains(slot) || !self.is_available(slot) {
+            return None;
+        }
+        let mut lo = slot;
+        while lo > bounds.lo && self.is_available(lo - 1) {
+            lo -= 1;
+        }
+        let mut hi = slot;
+        while hi < bounds.hi && self.is_available(hi + 1) {
+            hi += 1;
+        }
+        Some(SlotRange::new(lo, hi))
+    }
+
+    /// Length of the longest run of available slots within `bounds`.
+    pub fn max_run_in(self, bounds: SlotRange) -> usize {
+        assert!(
+            bounds.hi < self.horizon,
+            "bounds {bounds} out of horizon {}",
+            self.horizon
+        );
+        let mut best = 0;
+        let mut cur = 0;
+        for s in bounds.iter() {
+            if self.is_available(s) {
+                cur += 1;
+                best = best.max(cur);
+            } else {
+                cur = 0;
+            }
+        }
+        best
+    }
+
+    /// Whether `bounds` contains at least `m` consecutive available slots.
+    pub fn has_run_of(self, m: usize, bounds: SlotRange) -> bool {
+        self.max_run_in(bounds) >= m
+    }
+
+    /// Start slots of every fully-available window of length `m`.
+    pub fn windows_of(self, m: usize) -> impl Iterator<Item = SlotId> + 'a {
+        (0..self.horizon.saturating_sub(m.saturating_sub(1)))
+            .filter(move |&start| self.available_in_window(start, m))
+    }
+
+    /// The availability bits of the inclusive slot range `[range.lo,
+    /// range.hi]`, re-based so bit 0 of the first yielded word is slot
+    /// `range.lo` — i.e. the packed form of
+    /// `(0..range.len()).map(|off| is_available(range.lo + off))`.
+    ///
+    /// This is how STGSelect builds per-candidate availability bitmaps
+    /// over a pivot interval: whole words are shifted and stitched instead
+    /// of probing `is_available` per slot.
+    ///
+    /// # Panics
+    /// Panics if the range exceeds the horizon.
+    pub fn range_words(self, range: SlotRange) -> RangeWords<'a> {
+        assert!(
+            range.hi < self.horizon,
+            "range {range} out of horizon {}",
+            self.horizon
+        );
+        RangeWords {
+            words: self.words,
+            base: range.lo,
+            remaining: range.len(),
+        }
+    }
+}
+
+impl std::fmt::Debug for CalendarRef<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "Calendar[{}: ", self.horizon)?;
+        for s in 0..self.horizon {
+            write!(f, "{}", if self.is_available(s) { 'O' } else { '.' })?;
+        }
+        write!(f, "]")
+    }
+}
+
+impl PartialEq<Calendar> for CalendarRef<'_> {
+    fn eq(&self, other: &Calendar) -> bool {
+        *self == other.as_ref()
+    }
+}
 
 impl Calendar {
     /// All-busy calendar over `horizon` slots.
@@ -51,6 +206,15 @@ impl Calendar {
         c
     }
 
+    /// The borrowed view every read-only query runs on.
+    #[inline]
+    pub fn as_ref(&self) -> CalendarRef<'_> {
+        CalendarRef {
+            words: &self.words,
+            horizon: self.horizon,
+        }
+    }
+
     /// The number of slots this calendar covers.
     #[inline]
     pub fn horizon(&self) -> usize {
@@ -63,12 +227,7 @@ impl Calendar {
     /// Panics if `slot >= horizon`.
     #[inline]
     pub fn is_available(&self, slot: SlotId) -> bool {
-        assert!(
-            slot < self.horizon,
-            "slot {slot} out of horizon {}",
-            self.horizon
-        );
-        (self.words[slot / WORD_BITS] >> (slot % WORD_BITS)) & 1 == 1
+        self.as_ref().is_available(slot)
     }
 
     /// Set availability of a single slot.
@@ -107,105 +266,50 @@ impl Calendar {
 
     /// Number of available slots.
     pub fn count_available(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
+        self.as_ref().count_available()
     }
 
     /// Iterate available slots ascending.
     pub fn available_slots(&self) -> impl Iterator<Item = SlotId> + '_ {
-        (0..self.horizon).filter(move |&s| self.is_available(s))
+        self.as_ref().available_slots()
     }
 
-    /// Whether every slot of the window `[start, start+m-1]` is available.
-    ///
-    /// Returns `false` (rather than panicking) if the window does not fit in
-    /// the horizon — callers sweep window starts and rely on this.
+    /// See [`CalendarRef::available_in_window`].
     pub fn available_in_window(&self, start: SlotId, m: usize) -> bool {
-        debug_assert!(m > 0);
-        match start.checked_add(m) {
-            Some(end) if end <= self.horizon => (start..end).all(|s| self.is_available(s)),
-            _ => false,
-        }
+        self.as_ref().available_in_window(start, m)
     }
 
-    /// The maximal run of consecutive available slots that contains `slot`,
-    /// clipped to `bounds`. `None` if `slot` is busy or outside `bounds`.
+    /// See [`CalendarRef::run_containing`].
     pub fn run_containing(&self, slot: SlotId, bounds: SlotRange) -> Option<SlotRange> {
-        if !bounds.contains(slot) || !self.is_available(slot) {
-            return None;
-        }
-        let mut lo = slot;
-        while lo > bounds.lo && self.is_available(lo - 1) {
-            lo -= 1;
-        }
-        let mut hi = slot;
-        while hi < bounds.hi && self.is_available(hi + 1) {
-            hi += 1;
-        }
-        Some(SlotRange::new(lo, hi))
+        self.as_ref().run_containing(slot, bounds)
     }
 
-    /// Length of the longest run of available slots within `bounds`.
+    /// See [`CalendarRef::max_run_in`].
     pub fn max_run_in(&self, bounds: SlotRange) -> usize {
-        assert!(
-            bounds.hi < self.horizon,
-            "bounds {bounds} out of horizon {}",
-            self.horizon
-        );
-        let mut best = 0;
-        let mut cur = 0;
-        for s in bounds.iter() {
-            if self.is_available(s) {
-                cur += 1;
-                best = best.max(cur);
-            } else {
-                cur = 0;
-            }
-        }
-        best
+        self.as_ref().max_run_in(bounds)
     }
 
-    /// Whether `bounds` contains at least `m` consecutive available slots.
+    /// See [`CalendarRef::has_run_of`].
     pub fn has_run_of(&self, m: usize, bounds: SlotRange) -> bool {
-        self.max_run_in(bounds) >= m
+        self.as_ref().has_run_of(m, bounds)
     }
 
     /// Start slots of every fully-available window of length `m`.
     pub fn windows_of(&self, m: usize) -> impl Iterator<Item = SlotId> + '_ {
-        (0..self.horizon.saturating_sub(m.saturating_sub(1)))
-            .filter(move |&start| self.available_in_window(start, m))
+        self.as_ref().windows_of(m)
     }
 
     // ---- word-slice access (the hot-path API) ------------------------
 
-    /// The backing availability words, bit `t % 64` of word `t / 64` set ⇔
-    /// slot `t` available. Bits at `horizon` and beyond are zero.
+    /// See [`CalendarRef::words`].
     #[inline]
     pub fn words(&self) -> &[u64] {
         &self.words
     }
 
-    /// The availability bits of the inclusive slot range `[range.lo,
-    /// range.hi]`, re-based so bit 0 of the first yielded word is slot
-    /// `range.lo` — i.e. the packed form of
-    /// `(0..range.len()).map(|off| is_available(range.lo + off))`.
-    ///
-    /// This is how STGSelect builds per-candidate availability bitmaps
-    /// over a pivot interval: whole words are shifted and stitched instead
-    /// of probing `is_available` per slot.
-    ///
-    /// # Panics
-    /// Panics if the range exceeds the horizon.
+    /// See [`CalendarRef::range_words`].
     pub fn range_words(&self, range: SlotRange) -> RangeWords<'_> {
-        assert!(
-            range.hi < self.horizon,
-            "range {range} out of horizon {}",
-            self.horizon
-        );
-        RangeWords {
-            cal: self,
-            base: range.lo,
-            remaining: range.len(),
-        }
+        self.as_ref().range_words(range)
     }
 
     /// In-place intersection with another calendar (common availability).
@@ -236,10 +340,10 @@ impl Calendar {
     }
 }
 
-/// Iterator of [`Calendar::range_words`]: packed, re-based availability
-/// words of one slot range.
+/// Iterator of [`CalendarRef::range_words`]: packed, re-based
+/// availability words of one slot range.
 pub struct RangeWords<'a> {
-    cal: &'a Calendar,
+    words: &'a [u64],
     /// Slot id of bit 0 of the next yielded word.
     base: usize,
     /// Bits still to yield.
@@ -253,7 +357,7 @@ impl Iterator for RangeWords<'_> {
         if self.remaining == 0 {
             return None;
         }
-        let words = &self.cal.words;
+        let words = self.words;
         let wi = self.base / WORD_BITS;
         let shift = self.base % WORD_BITS;
         // Stitch the straddling pair of backing words.
@@ -276,11 +380,7 @@ impl Iterator for RangeWords<'_> {
 
 impl std::fmt::Debug for Calendar {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Calendar[{}: ", self.horizon)?;
-        for s in 0..self.horizon {
-            write!(f, "{}", if self.is_available(s) { 'O' } else { '.' })?;
-        }
-        write!(f, "]")
+        self.as_ref().fmt(f)
     }
 }
 

@@ -30,11 +30,11 @@ mod render;
 mod shards;
 pub mod text;
 
-pub use calendar::{Calendar, RangeWords};
+pub use calendar::{Calendar, CalendarRef, RangeWords};
 pub use error::ScheduleError;
 pub use grid::TimeGrid;
 pub use render::render_schedules;
-pub use shards::{CalendarShards, Cals};
+pub use shards::{CalendarBlock, CalendarShards, Cals};
 
 /// Index of a time slot, 0-based.
 pub type SlotId = usize;

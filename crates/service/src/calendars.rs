@@ -1,7 +1,8 @@
 //! Per-person availability storage with a shared horizon.
 
-use stgq_schedule::{Calendar, SlotRange};
+use stgq_schedule::{Calendar, CalendarBlock, SlotRange};
 
+use crate::stamps::ShardStamps;
 use crate::ServiceError;
 
 /// Calendars for every registered person over one slot horizon.
@@ -13,17 +14,19 @@ use crate::ServiceError;
 /// a version of their own so STGQ answers can be cache-stamped, but they
 /// never touch the graph caches.
 /// Like [`MutableNetwork`](crate::MutableNetwork), the store can track
-/// dirty shards (residue classes `person % shards`) once
+/// dirty shards (residue classes `person % shards`) and rows once
 /// [`set_shard_count`](Self::set_shard_count) is called, so publication
-/// re-slices only the shards whose calendars actually changed.
+/// republishes only the shards whose calendars actually changed, and
+/// overwrites only the changed rows of those.
 #[derive(Clone, Debug)]
 pub struct CalendarStore {
     cals: Vec<Calendar>,
     horizon: usize,
     version: u64,
-    /// Per-shard last-mutation stamps; empty = untracked (every shard
-    /// reads as [`version`](Self::version)).
-    shard_versions: Vec<u64>,
+    /// Per-shard and per-row last-mutation stamps; untracked until
+    /// [`set_shard_count`](Self::set_shard_count) (every shard then reads
+    /// as [`version`](Self::version)).
+    stamps: ShardStamps,
 }
 
 impl CalendarStore {
@@ -33,7 +36,7 @@ impl CalendarStore {
             cals: Vec::new(),
             horizon,
             version: 0,
-            shard_versions: Vec::new(),
+            stamps: ShardStamps::default(),
         }
     }
 
@@ -47,44 +50,50 @@ impl CalendarStore {
         self.version
     }
 
-    /// Overwrite the version counter, flooding every shard stamp
+    /// Overwrite the version counter, flooding every shard and row stamp
     /// (replication only — see
     /// [`MutableNetwork::force_version`](crate::MutableNetwork::force_version)).
     pub fn force_version(&mut self, version: u64) {
         self.version = version;
-        self.shard_versions.fill(version);
+        self.stamps.flood(version);
     }
 
     /// Start (or re-key) dirty-shard tracking with `count` shards, every
-    /// shard stamped at the current version.
+    /// shard and row stamped at the current version.
     pub fn set_shard_count(&mut self, count: usize) {
-        self.shard_versions = vec![self.version; count.max(1)];
+        self.stamps.track(count, self.cals.len(), self.version);
     }
 
     /// The global version at the last mutation touching shard `shard`;
     /// untracked stores report [`version`](Self::version) everywhere.
     pub fn shard_version(&self, shard: usize) -> u64 {
-        self.shard_versions
-            .get(shard)
-            .copied()
-            .unwrap_or(self.version)
+        self.stamps.shard(shard, self.version)
     }
 
     fn touch(&mut self, person: usize) {
-        if !self.shard_versions.is_empty() {
-            let s = person % self.shard_versions.len();
-            self.shard_versions[s] = self.version;
-        }
+        self.stamps.touch(person, self.version);
     }
 
-    /// Clone shard `shard` of `count` (calendars of the residue class
-    /// `person % count`, ordered by `person / count`) — the slice a
-    /// sharded snapshot holds for that shard.
-    pub fn shard_slice(&self, shard: usize, count: usize) -> Vec<Calendar> {
-        (shard..self.cals.len())
-            .step_by(count)
-            .map(|p| self.cals[p].clone())
-            .collect()
+    /// Shard `shard` of `count` (calendars of the residue class
+    /// `person % count`, ordered by `person / count`) as the flat block a
+    /// sharded snapshot holds, patched from `prev`, the block a snapshot
+    /// published for that shard at shard stamp `since`: `prev` is copied
+    /// wholesale and only rows stamped after `since` (and rows added
+    /// since) are overwritten (see [`CalendarBlock::patch`]). Without row
+    /// tracking at modulus `count`, every row is re-read.
+    pub(crate) fn patch_block(
+        &self,
+        shard: usize,
+        count: usize,
+        prev: &CalendarBlock,
+        since: u64,
+    ) -> CalendarBlock {
+        let rows = self.cals.len().saturating_sub(shard).div_ceil(count);
+        let row = |r: usize| self.cals[shard + r * count].words();
+        match self.stamps.dirty_rows(shard, count, since) {
+            Some(dirty) => CalendarBlock::patch(prev, self.horizon, rows, &dirty, row),
+            None => CalendarBlock::patch(&CalendarBlock::default(), self.horizon, rows, &[], row),
+        }
     }
 
     /// Number of calendars held.
@@ -99,9 +108,9 @@ impl CalendarStore {
 
     /// Grow to `count` calendars (new ones fully unavailable). Never
     /// shrinks — person ids are stable. Growing bumps the version and
-    /// touches each new person's shard: the published calendar slices
+    /// touches each new person's shard: the published calendar blocks
     /// must lengthen even though the new calendars are all-unavailable
-    /// (a snapshot that kept the short slice would index out of range as
+    /// (a snapshot that kept the short block would index out of range as
     /// soon as a new person becomes reachable).
     pub fn ensure_people(&mut self, count: usize) {
         if count <= self.cals.len() {
@@ -261,7 +270,7 @@ mod tests {
     }
 
     #[test]
-    fn shard_slices_partition_the_store_by_residue() {
+    fn shard_blocks_partition_the_store_by_residue() {
         let mut store = CalendarStore::new(6);
         store.ensure_people(7);
         for p in 0..7 {
@@ -269,9 +278,14 @@ mod tests {
         }
         for shards in [1usize, 3] {
             for s in 0..shards {
-                let slice = store.shard_slice(s, shards);
-                for (r, cal) in slice.iter().enumerate() {
-                    assert_eq!(cal, store.calendar(s + r * shards), "shard {s}/{shards}");
+                let block = store.patch_block(s, shards, &CalendarBlock::default(), 0);
+                assert_eq!(block.rows(), (7 - s).div_ceil(shards));
+                for r in 0..block.rows() {
+                    assert_eq!(
+                        block.get(r),
+                        *store.calendar(s + r * shards),
+                        "shard {s}/{shards}"
+                    );
                 }
             }
         }

@@ -58,13 +58,16 @@ mod error;
 pub mod expose;
 mod network;
 mod planner;
+mod publish;
 mod shared;
+mod stamps;
 
 pub use calendars::CalendarStore;
 pub use delta::{DeltaLog, DeltaRecord, WorldDelta, WorldState, DEFAULT_DELTA_LOG_CAPACITY};
 pub use error::ServiceError;
 pub use network::MutableNetwork;
 pub use planner::{BatchQuery, MetricsSnapshot, PlanReply, Planner, SgqReport, StgqReport};
+pub use publish::republish;
 pub use shared::SharedPlanner;
 // Execution-subsystem vocabulary, re-exported so existing callers (and
 // downstream code that only wants the service surface) keep one import

@@ -4,6 +4,7 @@ use std::collections::BTreeMap;
 
 use stgq_graph::{Dist, GraphBuilder, GraphSegment, NodeId, SocialGraph};
 
+use crate::stamps::ShardStamps;
 use crate::ServiceError;
 
 /// An updatable, undirected, weighted social network.
@@ -15,12 +16,15 @@ use crate::ServiceError;
 /// which the planner's caches key on.
 ///
 /// When [`set_shard_count`](Self::set_shard_count) has been called, the
-/// network additionally tracks *which shards* each mutation touched: shard
-/// `s` holds the residue class `v % shards`, and
+/// network additionally tracks *which shards and rows* each mutation
+/// touched: shard `s` holds the residue class `v % shards`,
 /// [`shard_version`](Self::shard_version) reports the global version at
-/// the last mutation involving any of its people. A publisher compares
-/// those stamps against the previous snapshot's to rebuild only the dirty
-/// sub-snapshots.
+/// the last mutation involving any of its people, and a per-row stamp
+/// (stored shard-major, `[v % shards][v / shards]`) does the same per
+/// person. A publisher compares the shard stamps against the previous
+/// snapshot's to republish only the dirty shards, and the republish
+/// ([`republish`](crate::republish)) uses the row stamps to re-emit only
+/// the rows stamped after that snapshot.
 #[derive(Clone, Debug, Default)]
 pub struct MutableNetwork {
     /// Adjacency maps: `adj[v][u] = distance`. Symmetric by construction.
@@ -29,9 +33,10 @@ pub struct MutableNetwork {
     active: Vec<bool>,
     edge_count: usize,
     version: u64,
-    /// Per-shard last-mutation stamps; empty = untracked (every shard
-    /// reads as [`version`](Self::version), i.e. always dirty).
-    shard_versions: Vec<u64>,
+    /// Per-shard and per-row last-mutation stamps; untracked until
+    /// [`set_shard_count`](Self::set_shard_count) (every shard then reads
+    /// as [`version`](Self::version), i.e. always dirty).
+    stamps: ShardStamps,
 }
 
 impl MutableNetwork {
@@ -71,41 +76,37 @@ impl MutableNetwork {
         self.version
     }
 
-    /// Overwrite the version counter, flooding every shard stamp. Only
-    /// replication uses this: a replica's mirror (and a promoted writer's)
-    /// must keep publishing under the cluster's global version numbering,
-    /// never restart from zero (stamps key every result/feasible cache in
-    /// the fleet). Flooding is the conservative choice — after a forced
-    /// jump there is no per-shard history to trust.
+    /// Overwrite the version counter, flooding every shard and row stamp.
+    /// Only replication uses this: a replica's mirror (and a promoted
+    /// writer's) must keep publishing under the cluster's global version
+    /// numbering, never restart from zero (stamps key every
+    /// result/feasible cache in the fleet). Flooding is the conservative
+    /// choice — after a forced jump there is no per-shard or per-row
+    /// history to trust, so no row of an earlier snapshot may be patched
+    /// forward.
     pub fn force_version(&mut self, version: u64) {
         self.version = version;
-        self.shard_versions.fill(version);
+        self.stamps.flood(version);
     }
 
     /// Start (or re-key) dirty-shard tracking with `count` shards, every
-    /// shard stamped at the current version (i.e. all dirty relative to
-    /// any earlier snapshot).
+    /// shard and row stamped at the current version (i.e. all dirty
+    /// relative to any earlier snapshot).
     pub fn set_shard_count(&mut self, count: usize) {
-        self.shard_versions = vec![self.version; count.max(1)];
+        self.stamps.track(count, self.adj.len(), self.version);
     }
 
     /// The global version at the last mutation touching shard `shard`.
     /// Untracked stores report [`version`](Self::version) for every shard
     /// (conservatively always dirty).
     pub fn shard_version(&self, shard: usize) -> u64 {
-        self.shard_versions
-            .get(shard)
-            .copied()
-            .unwrap_or(self.version)
+        self.stamps.shard(shard, self.version)
     }
 
-    /// Stamp `person`'s shard with the current version. Callers bump
-    /// [`version`](Self::version) first.
+    /// Stamp `person`'s shard and row with the current version. Callers
+    /// bump [`version`](Self::version) first.
     fn touch(&mut self, person: usize) {
-        if !self.shard_versions.is_empty() {
-            let s = person % self.shard_versions.len();
-            self.shard_versions[s] = self.version;
-        }
+        self.stamps.touch(person, self.version);
     }
 
     /// Freeze shard `shard` of `count` (the residue class `v % count`,
@@ -117,6 +118,29 @@ impl MutableNetwork {
                 .step_by(count)
                 .map(|v| self.adj[v].iter().map(|(&u, &w)| (u, w))),
         )
+    }
+
+    /// Re-freeze shard `shard` of `count` by patching `prev`, the segment
+    /// a snapshot published for that shard at shard stamp `since`: only
+    /// the rows stamped after `since` (and rows added since) are re-read
+    /// from the adjacency maps; every other row is copied from `prev`
+    /// (see [`GraphSegment::patch`]). Equal to
+    /// [`segment`](Self::segment)`(shard, count)` provided `prev` was
+    /// frozen from this network's shard when its stamp was `since`.
+    /// Without row tracking at modulus `count`, every row is re-read.
+    pub(crate) fn patch_segment(
+        &self,
+        shard: usize,
+        count: usize,
+        prev: &GraphSegment,
+        since: u64,
+    ) -> GraphSegment {
+        let rows = self.adj.len().saturating_sub(shard).div_ceil(count);
+        let row = |r: usize| self.adj[shard + r * count].iter().map(|(&u, &w)| (u, w));
+        match self.stamps.dirty_rows(shard, count, since) {
+            Some(dirty) => GraphSegment::patch(prev, rows, &dirty, row),
+            None => GraphSegment::patch(&GraphSegment::default(), rows, &[], row),
+        }
     }
 
     /// The label given at registration.

@@ -33,7 +33,7 @@ use stgq_graph::{Dist, NodeId, SocialGraph};
 use stgq_schedule::{Calendar, SlotRange};
 
 use crate::delta::{DeltaLog, DeltaRecord, WorldDelta, WorldState, DEFAULT_DELTA_LOG_CAPACITY};
-use crate::{CalendarStore, MutableNetwork, ServiceError};
+use crate::{republish, CalendarStore, MutableNetwork, ServiceError};
 
 /// Answer to an SGQ planning request, with provenance.
 #[derive(Clone, Debug)]
@@ -524,17 +524,19 @@ impl Planner {
     }
 
     /// Ensure the executor's published epoch matches the mutable state,
-    /// rebuilding **only the dirty shards**: each sub-snapshot (graph
-    /// segment / calendar slice) whose stamp still matches the mutable
-    /// store's per-shard version is carried over by `Arc` from the
-    /// previous epoch, so a delta confined to one community re-freezes
-    /// one shard, not the world. Returns the fresh epoch.
+    /// republishing **only the dirty shards** through [`republish`]: each
+    /// sub-snapshot (graph segment / calendar block) whose stamp still
+    /// matches the mutable store's per-shard version is carried over by
+    /// `Arc` from the previous epoch, and each moved one is *patched* from
+    /// its previous-epoch copy — only the rows stamped since are re-read —
+    /// so a delta confined to one community costs a copy of one shard plus
+    /// its dirty rows, not a re-freeze of the world. Returns the fresh
+    /// epoch.
     fn sync_snapshot(&self) -> Arc<WorldSnapshot> {
-        let graph_version = self.network.version();
-        let calendar_version = self.calendars.version();
+        let versions = (self.network.version(), self.calendars.version());
         let current = self.exec.snapshot();
         if let Some(snap) = &current {
-            if snap.versions() == (graph_version, calendar_version) {
+            if snap.versions() == versions {
                 return Arc::clone(snap);
             }
         }
@@ -542,53 +544,21 @@ impl Planner {
         // Re-check under the lock: a racing reader may have published.
         let current = self.exec.snapshot();
         if let Some(snap) = &current {
-            if snap.versions() == (graph_version, calendar_version) {
+            if snap.versions() == versions {
                 return Arc::clone(snap);
             }
         }
-        let shards = self.exec.shards();
-        let prev = current.filter(|s| s.shard_count() == shards);
-        let mut graph_rebuilt = false;
-        let mut segments = Vec::with_capacity(shards);
-        let mut graph_stamps = Vec::with_capacity(shards);
-        let mut cal_shards = Vec::with_capacity(shards);
-        let mut cal_stamps = Vec::with_capacity(shards);
-        for s in 0..shards {
-            // Equal stamp ⇒ identical shard content: every mutation
-            // touches its people's shards, so an unmoved stamp means the
-            // frozen segment is still exact (growth included — a new
-            // person moves their own shard's stamp on both axes).
-            let g = self.network.shard_version(s);
-            match &prev {
-                Some(p) if p.graph_shard_version(s) == g => {
-                    segments.push(Arc::clone(p.graph_segment(s)));
-                }
-                _ => {
-                    graph_rebuilt = true;
-                    segments.push(Arc::new(self.network.segment(s, shards)));
-                }
-            }
-            graph_stamps.push(g);
-            let c = self.calendars.shard_version(s);
-            match &prev {
-                Some(p) if p.calendar_shard_version(s) == c => {
-                    cal_shards.push(Arc::clone(p.calendar_shard(s)));
-                }
-                _ => cal_shards.push(Arc::new(self.calendars.shard_slice(s, shards))),
-            }
-            cal_stamps.push(c);
-        }
-        if graph_rebuilt {
+        let (snapshot, graph_moved) = republish(
+            &self.network,
+            &self.calendars,
+            self.exec.shards(),
+            current.as_deref(),
+            versions,
+        );
+        if graph_moved {
             self.snapshot_rebuilds.fetch_add(1, Ordering::Relaxed);
         }
-        let snapshot = Arc::new(WorldSnapshot::from_parts(
-            segments,
-            graph_stamps,
-            cal_shards,
-            cal_stamps,
-            graph_version,
-            calendar_version,
-        ));
+        let snapshot = Arc::new(snapshot);
         self.exec.publish_snapshot(Arc::clone(&snapshot));
         snapshot
     }
@@ -1002,7 +972,7 @@ mod tests {
         assert_eq!(m1.snapshot_shards_rebuilt - m0.snapshot_shards_rebuilt, 1);
         assert_eq!(m1.snapshot_shards_reused - m0.snapshot_shards_reused, 7);
 
-        // A calendar delta in community 1 likewise re-slices one shard.
+        // A calendar delta in community 1 likewise republishes one block.
         p.set_availability(ids[1], 3, false).unwrap();
         p.plan_sgq(ids[1], &q, Engine::Exact).unwrap();
         let m2 = p.metrics();
