@@ -1,7 +1,7 @@
 //! Criterion version of the pruning ablation: SGSelect and STGSelect with
 //! each pruning strategy disabled in turn, plus the search-reduction
 //! ablation (incumbent seeding, promise-ordered pivots, availability
-//! ordering, pivot-arena pooling) with each piece disabled in turn.
+//! ordering) with each piece disabled in turn.
 
 use std::time::Duration;
 
@@ -40,7 +40,7 @@ fn bench(c: &mut Criterion) {
     // Search-reduction ablation on the headline fig1f m = 4 config: each
     // PR-2 piece disabled in turn against the full engine and the PR-1
     // baseline (everything off).
-    let reduction: [(&str, SelectConfig); 6] = [
+    let reduction: [(&str, SelectConfig); 5] = [
         ("full", SelectConfig::default()),
         ("no_seed", SelectConfig::default().with_seed_restarts(0)),
         (
@@ -50,10 +50,6 @@ fn bench(c: &mut Criterion) {
         (
             "no_avail_order",
             SelectConfig::default().with_availability_ordering(false),
-        ),
-        (
-            "no_arena_pool",
-            SelectConfig::default().with_pool_pivot_buffers(false),
         ),
         ("pr1_baseline", SelectConfig::NO_SEARCH_REDUCTION),
     ];

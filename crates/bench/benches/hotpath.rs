@@ -117,10 +117,10 @@ fn bench_sparse_fringe(c: &mut Criterion) {
 
 /// The calendar-churn scenario: dense, long-run calendars with
 /// per-person jitter — the workload where pivot preparation dominates
-/// the solve, and the regime the incremental run cache
-/// (`SelectConfig::incremental_prep`) is built for: covered pivots
-/// cost interval arithmetic instead of a word scan per person. Gated
-/// like the fig1f entries once its medians land in `BENCH_core.json`.
+/// the solve, and the regime the pivot loop's per-solve run cache is
+/// built for: covered pivots cost interval arithmetic instead of a
+/// word scan per person. Gated like the fig1f entries once its medians
+/// land in `BENCH_core.json`.
 fn bench_calendar_churn(c: &mut Criterion) {
     let cfg = SelectConfig::default();
     let mut g = c.benchmark_group("hotpath");

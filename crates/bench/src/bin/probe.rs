@@ -1,7 +1,11 @@
 //! One-off profiling probe for the hot path (not part of the figure
 //! harness): prints search statistics and coarse phase timings for a
-//! fig1f-style instance so perf work aims at the right loop.
+//! fig1f-style instance so perf work aims at the right loop. The
+//! search-reduction ablation rows report the median and interquartile
+//! range of rotated-order repeats, so a gap between two rows can be read
+//! against their spread.
 
+use std::hint::black_box;
 use std::time::Instant;
 
 use stgq_bench::figures::{calendar_churn_dataset, stgq_dataset};
@@ -16,6 +20,18 @@ fn pct(a: u64, b: u64) -> f64 {
     } else {
         100.0 * (1.0 - a as f64 / b as f64)
     }
+}
+
+/// Timed repeats per ablation row. Each repeat times every arm once,
+/// starting one arm further along than the repeat before, so no arm is
+/// always measured first or always right after the same neighbour.
+const ABLATION_REPEATS: usize = 15;
+
+/// `(q1, median, q3)` of `samples` by nearest rank (sorts in place).
+fn quartiles(samples: &mut [u128]) -> (u128, u128, u128) {
+    samples.sort_unstable();
+    let at = |q: usize| samples[(samples.len() - 1) * q / 4];
+    (at(1), at(2), at(3))
 }
 
 /// Peak resident set (`VmHWM`) in MiB from `/proc/self/status`; 0.0 when
@@ -37,27 +53,17 @@ fn peak_rss_mib() -> f64 {
 /// `finalize_pivot` and descent clocked individually) read off the
 /// arena after each solve, next to the whole solve's wall clock. The
 /// delta/rebuilt counters show how much of the availability work the
-/// incremental run cache answered by interval arithmetic.
+/// per-solve run cache answered by interval arithmetic.
 ///
 /// [`StageTimings`]: stgq_core::StageTimings
 fn prep_split(what: &str, ds: &Dataset, q: NodeId, query: &StgqQuery) {
     println!("\n{what}: prep phase split (in-solve, detail mode):");
     let fg = FeasibleGraph::extract(&ds.graph, q, query.s());
     for (name, cfg) in [
-        ("default   ", SelectConfig::default()),
+        ("default", SelectConfig::default()),
         (
-            "no iprep  ",
-            SelectConfig::default().with_incremental_prep(false),
-        ),
-        (
-            "no pbnd   ",
+            "no pbnd",
             SelectConfig::default().with_parent_completion_bound(false),
-        ),
-        (
-            "neither   ",
-            SelectConfig::default()
-                .with_incremental_prep(false)
-                .with_parent_completion_bound(false),
         ),
     ] {
         let mut arena = stgq_core::PivotArena::new();
@@ -234,8 +240,7 @@ fn main() {
             old.solution.as_ref().map(|s| s.total_distance),
             "search reduction must not move the optimum"
         );
-        let mut no_acq_stats = None;
-        for (name, ablated) in [
+        let arms = [
             ("all on ", SelectConfig::default()),
             ("no seed", SelectConfig::default().with_seed_restarts(0)),
             (
@@ -247,16 +252,8 @@ fn main() {
                 SelectConfig::default().with_availability_ordering(false),
             ),
             (
-                "no pool",
-                SelectConfig::default().with_pool_pivot_buffers(false),
-            ),
-            (
                 "no sharp",
                 SelectConfig::default().with_sharp_pivot_floor(false),
-            ),
-            (
-                "no acqf ",
-                SelectConfig::default().with_acq_pivot_floor(false),
             ),
             (
                 "no peel",
@@ -267,45 +264,35 @@ fn main() {
                 SelectConfig::default().with_kplex_match_bound(false),
             ),
             (
-                "no prep",
-                SelectConfig::default().with_shared_pivot_prep(false),
-            ),
-            (
-                "no iprep",
-                SelectConfig::default().with_incremental_prep(false),
-            ),
-            (
                 "no pbnd",
                 SelectConfig::default().with_parent_completion_bound(false),
-            ),
-            (
-                "no mot ",
-                SelectConfig::default().with_materialize_on_touch(false),
             ),
             (
                 "pr4 on ",
                 SelectConfig::default().without_candidate_reduction(),
             ),
             ("all off", SelectConfig::NO_SEARCH_REDUCTION),
-        ] {
-            let mut ns = u128::MAX;
-            let mut last = None;
-            for _ in 0..12 {
+        ];
+        let mut samples = vec![Vec::with_capacity(ABLATION_REPEATS); arms.len()];
+        for repeat in 0..ABLATION_REPEATS {
+            for i in 0..arms.len() {
+                let arm = (repeat + i) % arms.len();
                 let t0 = Instant::now();
-                last = Some(stgq_core::solve_stgq_on(
+                black_box(stgq_core::solve_stgq_on(
                     &fg,
                     &ds.calendars,
                     &query,
-                    &ablated,
+                    &arms[arm].1,
                 ));
-                ns = ns.min(t0.elapsed().as_nanos());
+                samples[arm].push(t0.elapsed().as_nanos());
             }
-            // Deterministic stats: keep the "no acqf" run for the
-            // acq-floor report below instead of re-solving.
-            if name.trim() == "no acqf" {
-                no_acq_stats = last.map(|out| out.stats);
-            }
-            println!("    p={p} m={m:>2} [{name}]: {ns:>9} ns");
+        }
+        for ((name, _), times) in arms.iter().zip(&mut samples) {
+            let (q1, median, q3) = quartiles(times);
+            println!(
+                "    p={p} m={m:>2} [{name}]: median {median:>9} ns  IQR {:>8} ns  [{q1}, {q3}]",
+                q3 - q1
+            );
         }
         println!(
             "p={p} k={k} m={m:>2}: frames {:>5} (was {:>5}, -{:.1}%)  exams {:>6} (was {:>6}, -{:.1}%)  bound-pruned {:>5}  parent-pruned {:>4}  pivots skipped {}/{}",
@@ -321,21 +308,9 @@ fn main() {
             new.stats.pivots_skipped,
             new.stats.pivots_processed,
         );
-        // The acquaintance-aware floor's own contribution (the m = 12
-        // row is the regime it targets: temporally tight, socially
-        // spread — see ROADMAP).
-        let no_acq = no_acq_stats.expect("the ablation grid includes `no acqf`");
-        println!(
-            "          acq floor: frames {:>5} vs {:>5} without (-{:.1}%)  pivots skipped {} vs {}",
-            new.stats.frames_examined(),
-            no_acq.frames_examined(),
-            pct(new.stats.frames_examined(), no_acq.frames_examined()),
-            new.stats.pivots_skipped,
-            no_acq.pivots_skipped,
-        );
         // The candidate-space reduction layer's own contribution: all-on
-        // vs the PR-4 all-on baseline (peel + matching bound + shared
-        // prep off, everything older on).
+        // vs `without_candidate_reduction` (peel + matching bound off,
+        // everything else on).
         let pr4 = stgq_core::solve_stgq_on(
             &fg,
             &ds.calendars,

@@ -5,9 +5,18 @@
 //! numbers, booleans, null). Integers up to `u64::MAX` round-trip exactly
 //! — the dataset snapshots store `Calendar` words as raw `u64`s, so this
 //! is load-bearing, not a nicety.
+//!
+//! The parser recurses once per nested array/object, so nesting deeper
+//! than [`MAX_DEPTH`] is rejected with an error instead of overflowing
+//! the stack (a stack overflow aborts the whole process, and the cluster
+//! decodes untrusted wire frames with this parser).
 
 use serde::value::Value;
 use serde::{DeError, Deserialize, Serialize};
+
+/// Deepest array/object nesting [`from_str`] accepts (the same limit as
+/// upstream `serde_json`).
+pub const MAX_DEPTH: usize = 128;
 
 /// Parse or conversion failure.
 #[derive(Debug)]
@@ -39,6 +48,7 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.parse_value()?;
@@ -110,6 +120,8 @@ fn write_string(s: &str, out: &mut String) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -143,8 +155,22 @@ impl Parser<'_> {
 
     fn parse_value(&mut self) -> Result<Value, Error> {
         match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(Error(format!(
+                        "nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.pos
+                    )));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.parse_object()
+                } else {
+                    self.parse_array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Value::Str(self.parse_string()?)),
             Some(b't') => self.parse_lit("true", Value::Bool(true)),
             Some(b'f') => self.parse_lit("false", Value::Bool(false)),
@@ -380,6 +406,7 @@ mod tests {
         let mut p = Parser {
             bytes: s.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         let back = p.parse_value().unwrap();
         assert_eq!(back, v);
@@ -399,6 +426,41 @@ mod tests {
         assert!(from_str::<bool>("true false").is_err());
         assert!(from_str::<Vec<u32>>("[1,]").is_err());
         assert!(from_str::<u32>("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let parse = |s: &str| {
+            Parser {
+                bytes: s.as_bytes(),
+                pos: 0,
+                depth: 0,
+            }
+            .parse_value()
+        };
+        let arrays = |d: usize| format!("{}{}", "[".repeat(d), "]".repeat(d));
+        let objects = |d: usize| format!("{}1{}", "{\"a\":".repeat(d), "}".repeat(d));
+        assert!(parse(&arrays(MAX_DEPTH)).is_ok());
+        assert!(parse(&arrays(MAX_DEPTH + 1)).is_err());
+        assert!(parse(&objects(MAX_DEPTH)).is_ok());
+        assert!(parse(&objects(MAX_DEPTH + 1)).is_err());
+    }
+
+    /// A hostile document of a million `[` must come back as an error on
+    /// a thread with a 2 MiB stack (the default for spawned threads,
+    /// such as a cluster node's connection threads) instead of
+    /// overflowing it, which would abort the process.
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let hostile = "[".repeat(1_000_000);
+        let result = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || from_str::<Vec<u32>>(&hostile).map_err(|e| e.to_string()))
+            .expect("spawn")
+            .join()
+            .expect("the parser returns, it does not crash");
+        let err = result.expect_err("a million open brackets is not a document");
+        assert!(err.contains("nesting deeper than"), "{err}");
     }
 
     #[test]

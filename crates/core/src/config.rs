@@ -61,13 +61,6 @@ pub struct SelectConfig {
     /// counters kill subtrees earlier. Ordering is a search heuristic:
     /// it never changes the optimum, only how fast it is found.
     pub availability_ordering: bool,
-    /// Reuse the flattened availability buffers, bitmaps and undo logs
-    /// across the sequential pivot loop (and across
-    /// [`solve_stgq_pooled`](crate::solve_stgq_pooled) calls sharing one
-    /// [`PivotArena`](crate::PivotArena)). Purely an allocation strategy —
-    /// results are bit-identical with it off; the switch exists for
-    /// ablation benchmarks.
-    pub pool_pivot_buffers: bool,
     /// Sharpen the per-pivot optimistic distance floor by restricting the
     /// `p − 1` smallest-distance sum to **mutually-compatible** candidates:
     /// per-pivot runs are intervals that all contain the pivot, so a group
@@ -82,31 +75,15 @@ pub struct SelectConfig {
     /// skip to fire. Exactness is untouched: the floor only retires
     /// subtrees that provably cannot strictly beat the incumbent.
     pub sharp_pivot_floor: bool,
-    /// Restrict the [`sharp_pivot_floor`](Self::sharp_pivot_floor)
-    /// candidate sets further to candidates with **eligible degree ≥
-    /// p − 1 − k** (acquaintances among the pivot-eligible candidates and
-    /// the initiator). Every group member needs at least `p − 1 − k`
-    /// acquaintances *inside the group*, and the group is drawn from the
-    /// eligible set plus the initiator, so low-eligible-degree candidates
-    /// can never appear in any feasible group at this pivot — dropping
-    /// them from the per-window cheapest-sum only tightens the floor
-    /// (dominance over the compatibility-only floor is property-tested).
-    /// This targets the fig1f `m = 12` regime, where every candidate
-    /// covers every window (the temporal restriction is vacuous) and the
-    /// spread is *social*: the `k` constraint forces expensive mutual
-    /// friends the compatibility floor cannot see. No effect unless
-    /// `sharp_pivot_floor` is also on; exactness untouched.
-    pub acq_pivot_floor: bool,
     /// Peel candidate sets to the **(p, k)-core** before exact descent:
     /// iterate the eligible-degree ≥ `p − 1 − k` filter to a fixpoint
     /// (peel a vertex → decrement its neighbors' eligible degrees →
     /// re-peel), restricted to the eligible candidates plus the
     /// initiator. A peeled vertex has too few acquaintances among the
     /// only people who could ever share a group with it, so it can
-    /// belong to **no** feasible group — removing it from `VA` outright
-    /// (not just from the floor's candidate sets, which is all
-    /// [`acq_pivot_floor`](Self::acq_pivot_floor)'s one-pass filter
-    /// does) is exact. A pivot whose surviving core leaves fewer than
+    /// belong to **no** feasible group — removing it from `VA` (and so
+    /// from the sharp floor's candidate sets) is exact. A pivot whose
+    /// surviving core leaves fewer than
     /// `p` people — or leaves the initiator short of `p − 1 − k`
     /// acquaintances — is refused outright
     /// ([`SearchStats::pivots_refused_by_core`]). The SGQ engine peels
@@ -144,39 +121,6 @@ pub struct SelectConfig {
     ///
     /// [`SearchStats::frames_pruned_by_match`]: crate::SearchStats::frames_pruned_by_match
     pub kplex_match_bound: bool,
-    /// Share pivot preprocessing across the pivot loop and across the
-    /// parallel workers: the fixpoint-peeled core and the
-    /// acquaintance-floor mask depend only on `(query, eligible set)`,
-    /// so they are computed once per candidate-set signature — a shared
-    /// `PivotPrep` entry for the full candidate set, plus a per-arena
-    /// memo for the last distinct per-pivot signature —
-    /// instead of being rebuilt for every pivot. Purely a caching
-    /// strategy: results are bit-identical with it off; the switch
-    /// exists for ablation.
-    pub shared_pivot_prep: bool,
-    /// **Incremental temporal prep** (STGSelect only): cache each
-    /// candidate's *unclipped* maximal availability run (in
-    /// calendar-absolute slots) across the pivot loop. Adjacent pivots
-    /// in a promise-ordered run cover overlapping intervals, so when a
-    /// later pivot falls inside a cached run, the Definition-4 run at
-    /// that pivot is the cached run intersected with the pivot interval
-    /// — pure arithmetic, no calendar word scan. The flattened
-    /// availability buffer is then materialized **lazily** in
-    /// finalization, only for pivots the incumbent bound did not retire
-    /// and only for post-peel eligible members — a skipped pivot pays
-    /// no word traffic at all. Sound because a calendar's maximal run
-    /// through a slot is pivot-independent: intersecting it with any
-    /// interval containing the slot yields exactly the maximal run
-    /// within that interval, so eligibility, runs, Lemma-5 counters and
-    /// every bound are bit-identical to the from-scratch rebuild
-    /// (property-tested). The cache is invalidated per solve (arenas
-    /// outlive queries). [`SearchStats::prep_words_delta`] /
-    /// [`SearchStats::prep_words_rebuilt`] count the avoided vs paid
-    /// word traffic.
-    ///
-    /// [`SearchStats::prep_words_delta`]: crate::SearchStats::prep_words_delta
-    /// [`SearchStats::prep_words_rebuilt`]: crate::SearchStats::prep_words_rebuilt
-    pub incremental_prep: bool,
     /// **Parent-side per-candidate completion bound**: before descending
     /// into a child candidate `u`, charge the child frame's own
     /// admissible-completion floor — the `p − |VS| − 1` cheapest
@@ -198,21 +142,6 @@ pub struct SelectConfig {
     ///
     /// [`SearchStats::children_pruned_by_parent_bound`]: crate::SearchStats::children_pruned_by_parent_bound
     pub parent_completion_bound: bool,
-    /// **Materialize availability rows on first frame touch**: defer a
-    /// pivot's availability-word build and Lemma-5 unavailability
-    /// counters out of finalization and into the moment the search
-    /// actually opens the pivot's first frame. Pivots retired between
-    /// finalization and descent — by the post-finalize distance floor or
-    /// by an incumbent found while seeding — then pay *zero*
-    /// availability word traffic instead of a full per-candidate
-    /// calendar materialization. Answers and pruning behaviour are
-    /// unchanged: the same buffers hold the same bits, just built later
-    /// (or never, for pivots that provably cannot win). Counted through
-    /// [`SearchStats::prep_words_rebuilt`], which drops by exactly the
-    /// skipped pivots' share (STGSelect only).
-    ///
-    /// [`SearchStats::prep_words_rebuilt`]: crate::SearchStats::prep_words_rebuilt
-    pub materialize_on_touch: bool,
 }
 
 impl SelectConfig {
@@ -228,20 +157,16 @@ impl SelectConfig {
         seed_restarts: 2,
         pivot_promise_order: true,
         availability_ordering: true,
-        pool_pivot_buffers: true,
         sharp_pivot_floor: true,
-        acq_pivot_floor: true,
         core_peel_fixpoint: true,
         kplex_match_bound: true,
-        shared_pivot_prep: true,
-        incremental_prep: true,
         parent_completion_bound: true,
-        materialize_on_touch: true,
     };
 
     /// Ablation preset: the previous release's *sequential* search
     /// behavior — no incumbent seeding, pivots in calendar order, pure
-    /// distance access order, fresh buffers per pivot. The
+    /// distance access order, no sharp floor, no candidate-space
+    /// reduction and no parent-side bound. The
     /// search-reduction benchmarks and the stats-regression tests diff
     /// against this. Caveat for parallel ablations: the parallel solvers
     /// historically always seeded (a hard-coded 2-restart greedy), so
@@ -251,15 +176,10 @@ impl SelectConfig {
         seed_restarts: 0,
         pivot_promise_order: false,
         availability_ordering: false,
-        pool_pivot_buffers: false,
         sharp_pivot_floor: false,
-        acq_pivot_floor: false,
         core_peel_fixpoint: false,
         kplex_match_bound: false,
-        shared_pivot_prep: false,
-        incremental_prep: false,
         parent_completion_bound: false,
-        materialize_on_touch: false,
         ..SelectConfig::PAPER_EXAMPLE
     };
 
@@ -338,29 +258,11 @@ impl SelectConfig {
         }
     }
 
-    /// This config with pivot-buffer pooling toggled.
-    pub const fn with_pool_pivot_buffers(self, on: bool) -> Self {
-        SelectConfig {
-            pool_pivot_buffers: on,
-            ..self
-        }
-    }
-
     /// This config with the compatibility-restricted (sharp) per-pivot
     /// distance floor toggled.
     pub const fn with_sharp_pivot_floor(self, on: bool) -> Self {
         SelectConfig {
             sharp_pivot_floor: on,
-            ..self
-        }
-    }
-
-    /// This config with the acquaintance-aware restriction of the sharp
-    /// pivot floor toggled (no effect unless
-    /// [`sharp_pivot_floor`](Self::sharp_pivot_floor) is also on).
-    pub const fn with_acq_pivot_floor(self, on: bool) -> Self {
-        SelectConfig {
-            acq_pivot_floor: on,
             ..self
         }
     }
@@ -381,23 +283,6 @@ impl SelectConfig {
         }
     }
 
-    /// This config with shared pivot preprocessing toggled.
-    pub const fn with_shared_pivot_prep(self, on: bool) -> Self {
-        SelectConfig {
-            shared_pivot_prep: on,
-            ..self
-        }
-    }
-
-    /// This config with incremental temporal prep (the per-solve run
-    /// cache + lazy availability-buffer materialization) toggled.
-    pub const fn with_incremental_prep(self, on: bool) -> Self {
-        SelectConfig {
-            incremental_prep: on,
-            ..self
-        }
-    }
-
     /// This config with the parent-side per-candidate completion bound
     /// toggled.
     pub const fn with_parent_completion_bound(self, on: bool) -> Self {
@@ -407,25 +292,14 @@ impl SelectConfig {
         }
     }
 
-    /// This config with first-frame-touch availability materialization
-    /// toggled.
-    pub const fn with_materialize_on_touch(self, on: bool) -> Self {
-        SelectConfig {
-            materialize_on_touch: on,
-            ..self
-        }
-    }
-
     /// The previous release's all-on behaviour: this config with the
-    /// candidate-space reduction layer (fixpoint core peeling, the
-    /// k-plex matching bound and shared pivot preprocessing) switched
-    /// off. The `probe` scoreboard and the reduction tests diff the
-    /// default against this.
+    /// candidate-space reduction layer (fixpoint core peeling and the
+    /// k-plex matching bound) switched off. The `probe` scoreboard and
+    /// the reduction tests diff the default against this.
     pub const fn without_candidate_reduction(self) -> Self {
         SelectConfig {
             core_peel_fixpoint: false,
             kplex_match_bound: false,
-            shared_pivot_prep: false,
             ..self
         }
     }
@@ -495,21 +369,13 @@ mod tests {
     fn search_reduction_defaults_and_toggles() {
         let c = SelectConfig::default();
         assert_eq!(c.seed_restarts, 2);
-        assert!(c.pivot_promise_order && c.availability_ordering && c.pool_pivot_buffers);
-        assert!(c.sharp_pivot_floor);
-        assert!(c.acq_pivot_floor);
-        assert!(c.core_peel_fixpoint && c.kplex_match_bound && c.shared_pivot_prep);
-        assert!(c.incremental_prep && c.parent_completion_bound);
-        assert!(c.materialize_on_touch);
+        assert!(c.pivot_promise_order && c.availability_ordering && c.sharp_pivot_floor);
+        assert!(c.core_peel_fixpoint && c.kplex_match_bound && c.parent_completion_bound);
 
         let off = SelectConfig::NO_SEARCH_REDUCTION;
         assert_eq!(off.seed_restarts, 0);
-        assert!(!off.pivot_promise_order && !off.availability_ordering && !off.pool_pivot_buffers);
-        assert!(!off.sharp_pivot_floor);
-        assert!(!off.acq_pivot_floor);
-        assert!(!off.core_peel_fixpoint && !off.kplex_match_bound && !off.shared_pivot_prep);
-        assert!(!off.incremental_prep && !off.parent_completion_bound);
-        assert!(!off.materialize_on_touch);
+        assert!(!off.pivot_promise_order && !off.availability_ordering && !off.sharp_pivot_floor);
+        assert!(!off.core_peel_fixpoint && !off.kplex_match_bound && !off.parent_completion_bound);
         assert!(
             off.distance_pruning && off.acquaintance_pruning,
             "the baseline keeps the paper's pruning; only the PR-2 pieces are off"
@@ -519,26 +385,19 @@ mod tests {
             .with_seed_restarts(5)
             .with_pivot_promise_order(false)
             .with_availability_ordering(false)
-            .with_pool_pivot_buffers(false)
-            .with_sharp_pivot_floor(false)
-            .with_acq_pivot_floor(false);
+            .with_sharp_pivot_floor(false);
         assert_eq!(c.seed_restarts, 5);
-        assert!(!c.pivot_promise_order && !c.availability_ordering && !c.pool_pivot_buffers);
-        assert!(!c.sharp_pivot_floor && !c.acq_pivot_floor);
+        assert!(!c.pivot_promise_order && !c.availability_ordering && !c.sharp_pivot_floor);
 
         let c = SelectConfig::default()
             .with_core_peel_fixpoint(false)
-            .with_kplex_match_bound(false)
-            .with_shared_pivot_prep(false);
-        assert!(!c.core_peel_fixpoint && !c.kplex_match_bound && !c.shared_pivot_prep);
+            .with_kplex_match_bound(false);
+        assert!(!c.core_peel_fixpoint && !c.kplex_match_bound);
         assert_eq!(c, SelectConfig::default().without_candidate_reduction());
         assert!(c.sharp_pivot_floor, "the PR-4 pieces stay on");
 
-        let c = SelectConfig::default()
-            .with_incremental_prep(false)
-            .with_parent_completion_bound(false)
-            .with_materialize_on_touch(false);
-        assert!(!c.incremental_prep && !c.parent_completion_bound && !c.materialize_on_touch);
+        let c = SelectConfig::default().with_parent_completion_bound(false);
+        assert!(!c.parent_completion_bound);
         assert!(
             c.core_peel_fixpoint && c.kplex_match_bound,
             "the PR-5 pieces stay on"

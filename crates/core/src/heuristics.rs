@@ -31,7 +31,9 @@ use stgq_schedule::pivot::pivot_slots;
 use stgq_schedule::{Calendar, Cals, SlotRange};
 
 use crate::inputs::check_temporal_inputs;
-use crate::stgselect::{finalize_pivot, prepare_pivot, PivotArena, PivotJob, PivotPrep};
+use crate::stgselect::{
+    finalize_pivot, materialize_pivot, prepare_pivot, PivotArena, PivotJob, PivotPrep,
+};
 use crate::{QueryError, SearchStats, SgqQuery, SgqSolution, StgqQuery, StgqSolution};
 
 /// Outcome of a heuristic SGQ run.
@@ -235,11 +237,12 @@ fn run_stgq_heuristic<G: CandidateTopology>(
             continue;
         };
         // The greedy engine never bounds, so every prepared pivot is
-        // finalized (a plain prep cannot refuse).
-        if !finalize_pivot(fg, calendars, &prep, &mut job, &mut scratch, &mut arena) {
+        // finalized (a plain prep cannot refuse) and materialized.
+        if !finalize_pivot(fg, &prep, &mut job, &mut scratch, &mut arena) {
             arena.recycle(job);
             continue;
         }
+        materialize_pivot(fg, calendars, &mut job, &mut scratch);
         let mut ctx = GreedyCtx::new(fg, p, query.k(), None, Some(&job), m);
         let (found, evals) = ctx.run_restarts(restarts.max(1));
         evaluations += evals;

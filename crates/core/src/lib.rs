@@ -88,12 +88,11 @@
 //!   `VA` at all — and equal-distance access-order ties are broken by
 //!   remaining overlap (descending), computed from per-solve tie blocks
 //!   so pivots pay only the permutation, not the scan.
-//! * **Pivot-arena pooling** ([`PivotArena`],
-//!   [`SelectConfig::pool_pivot_buffers`]). The flattened availability
-//!   buffers, bitmaps, undo logs and order permutations are recycled
-//!   across the sequential pivot loop, and — via [`solve_stgq_pooled`] —
-//!   across whole query streams (the executor's workers each hold one
-//!   arena).
+//! * **Pivot-arena pooling** ([`PivotArena`]). The flattened
+//!   availability buffers, bitmaps, undo logs and order permutations are
+//!   recycled across the sequential pivot loop, and — via
+//!   [`solve_stgq_pooled`] — across whole query streams (the executor's
+//!   workers each hold one arena).
 //! * **Compatibility-restricted pivot floor**
 //!   ([`SelectConfig::sharp_pivot_floor`]). Per-pivot runs are intervals
 //!   all containing the pivot, so (Helly property) a group shares an
@@ -129,22 +128,19 @@
 //!   is charged against the group's aggregate `⌊k·p/2⌋`
 //!   non-acquaintance budget (a strictly stronger Lemma 3, live on the
 //!   SGQ path too).
-//! * **Shared pivot preprocessing**
-//!   ([`SelectConfig::shared_pivot_prep`]). The peeled core and the
-//!   floor mask depend only on `(query, eligible-set signature)`, so
-//!   they are computed once per signature and shared across the pivot
-//!   loop and across parallel workers instead of being rebuilt per
-//!   pivot.
-//! * **Incremental pivot preparation**
-//!   ([`SelectConfig::incremental_prep`]). Maximal availability runs
-//!   are calendar-absolute, so consecutive (promise-ordered) pivots
-//!   landing in the same run re-derive eligibility and clipping by
-//!   interval arithmetic from a per-solve run cache instead of
-//!   re-scanning calendar words; the flattened availability buffer is
-//!   materialized lazily, only for rows the peel kept.
+//! * **Shared pivot preprocessing.** The peeled core depends only on
+//!   `(query, eligible-set signature)`, so it is computed once per
+//!   signature and shared across the pivot loop and across parallel
+//!   workers instead of being rebuilt per pivot.
+//! * **Incremental pivot preparation.** Maximal availability runs are
+//!   calendar-absolute, so consecutive (promise-ordered) pivots landing
+//!   in the same run re-derive eligibility and clipping by interval
+//!   arithmetic from a per-solve run cache instead of re-scanning
+//!   calendar words; the flattened availability buffer is materialized
+//!   at the pivot's first frame touch, only for rows the peel kept.
 //!   [`SearchStats::prep_words_delta`] /
 //!   [`SearchStats::prep_words_rebuilt`] split the words served from
-//!   the cache from those rebuilt from scratch.
+//!   the cache from those built from calendar words.
 //! * **Parent-side completion bound**
 //!   ([`SelectConfig::parent_completion_bound`]). Before descending
 //!   into a child, the parent charges the child's

@@ -397,7 +397,7 @@ pub fn solve_stgq_parallel_controlled_on<'a, G: CandidateTopology>(
     // Shared pivot preprocessing: tie blocks, thresholds, and the
     // full-candidate reduction memo are computed once here and read by
     // every worker — the sequential engine's per-solve prep, lifted
-    // above the spawn ([`SelectConfig::shared_pivot_prep`]).
+    // above the spawn.
     let prep = PivotPrep::new(fg, p, query.k(), m, horizon, &cfg);
     let prep = &prep;
 
@@ -410,11 +410,7 @@ pub fn solve_stgq_parallel_controlled_on<'a, G: CandidateTopology>(
                 .map(|_| {
                     scope.spawn(|| {
                         let mut local = SearchStats::default();
-                        let mut arena = if cfg.pool_pivot_buffers {
-                            PivotArena::new()
-                        } else {
-                            PivotArena::unpooled()
-                        };
+                        let mut arena = PivotArena::new();
                         loop {
                             let i = next.fetch_add(1, Ordering::Relaxed);
                             if i >= pivots.len() {
@@ -436,9 +432,8 @@ pub fn solve_stgq_parallel_controlled_on<'a, G: CandidateTopology>(
                                 // the sequential engine's ladder.
                                 if pivot_bound_skips(&cfg, &incumbent, job.dist_bound) {
                                     local.pivots_skipped += 1;
-                                } else if finalize_pivot(
-                                    fg, calendars, prep, &mut job, &mut local, &mut arena,
-                                ) {
+                                } else if finalize_pivot(fg, prep, &mut job, &mut local, &mut arena)
+                                {
                                     if pivot_bound_skips(&cfg, &incumbent, job.dist_bound) {
                                         local.pivots_skipped += 1;
                                     } else {
@@ -446,11 +441,7 @@ pub fn solve_stgq_parallel_controlled_on<'a, G: CandidateTopology>(
                                         // sequential loop, a bound-retired
                                         // pivot above never built its
                                         // availability rows.
-                                        if prep.materialize_on_touch {
-                                            materialize_pivot(
-                                                fg, calendars, prep, &mut job, &mut local,
-                                            );
-                                        }
+                                        materialize_pivot(fg, calendars, &mut job, &mut local);
                                         search_pivot_controlled(
                                             fg, query, &cfg, &mut job, &incumbent, &mut local,
                                             control,
@@ -480,9 +471,10 @@ pub fn solve_stgq_parallel_controlled_on<'a, G: CandidateTopology>(
                     scope.spawn(|| {
                         let mut local = SearchStats::default();
                         let mut found = Vec::new();
-                        // Jobs outlive this loop (they are searched
-                        // concurrently below), so no recycling here.
-                        let mut arena = PivotArena::unpooled();
+                        // Jobs that make the task list outlive this
+                        // loop (they are searched concurrently below),
+                        // so only retired ones are recycled.
+                        let mut arena = PivotArena::new();
                         loop {
                             let i = next_prep.fetch_add(1, Ordering::Relaxed);
                             if i >= pivots.len() {
@@ -499,15 +491,16 @@ pub fn solve_stgq_parallel_controlled_on<'a, G: CandidateTopology>(
                             ) {
                                 if pivot_bound_skips(&cfg, &incumbent, job.dist_bound) {
                                     local.pivots_skipped += 1;
+                                    arena.recycle(job);
                                     continue;
                                 }
-                                if !finalize_pivot(
-                                    fg, calendars, prep, &mut job, &mut local, &mut arena,
-                                ) {
+                                if !finalize_pivot(fg, prep, &mut job, &mut local, &mut arena) {
+                                    arena.recycle(job);
                                     continue;
                                 }
                                 if pivot_bound_skips(&cfg, &incumbent, job.dist_bound) {
                                     local.pivots_skipped += 1;
+                                    arena.recycle(job);
                                     continue;
                                 }
                                 // Root vetting and the shared subtree
@@ -515,9 +508,7 @@ pub fn solve_stgq_parallel_controlled_on<'a, G: CandidateTopology>(
                                 // availability rows, so a job that made
                                 // the task list is materialized here —
                                 // its first frame touch.
-                                if prep.materialize_on_touch {
-                                    materialize_pivot(fg, calendars, prep, &mut job, &mut local);
-                                }
+                                materialize_pivot(fg, calendars, &mut job, &mut local);
                                 let ok = vet_pivot_roots(fg, query, &cfg, &job, &incumbent);
                                 found.push((job, ok));
                             }

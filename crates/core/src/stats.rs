@@ -74,21 +74,16 @@ pub struct SearchStats {
     /// [`SelectConfig::parent_completion_bound`]: crate::SelectConfig::parent_completion_bound
     pub children_pruned_by_parent_bound: u64,
     /// Availability-buffer words whose rebuild was **avoided** by the
-    /// incremental prep's per-solve run cache
-    /// ([`SelectConfig::incremental_prep`]): one stride per candidate
-    /// whose Definition-4 run came from the cached calendar run instead
-    /// of a word scan (STGSelect only).
-    ///
-    /// [`SelectConfig::incremental_prep`]: crate::SelectConfig::incremental_prep
+    /// per-solve run cache: one stride per candidate whose Definition-4
+    /// run came from the cached calendar run instead of a word scan
+    /// (STGSelect only).
     pub prep_words_delta: u64,
-    /// Availability-buffer words actually built from calendar words —
-    /// per eligible candidate per prepared pivot with
-    /// [`incremental_prep`] off, per post-peel eligible candidate per
-    /// *finalized* pivot with it on (skipped pivots pay nothing). The
-    /// ratio against [`prep_words_delta`](Self::prep_words_delta) is
-    /// the incremental path's word-traffic saving.
-    ///
-    /// [`incremental_prep`]: crate::SelectConfig::incremental_prep
+    /// Availability-buffer words actually built from calendar words:
+    /// one stride per post-peel eligible candidate of every pivot that
+    /// reached its first frame touch (skipped and refused pivots pay
+    /// nothing). The ratio against
+    /// [`prep_words_delta`](Self::prep_words_delta) is the run cache's
+    /// word-traffic saving.
     pub prep_words_rebuilt: u64,
     /// Definition-4 runs served by the **cross-solve** run cache: the
     /// arena kept a candidate's unclipped maximal run from an earlier

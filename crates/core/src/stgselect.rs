@@ -38,30 +38,28 @@
 //!     │          through `CandidateTopology`, bit-identically.
 //!     │                                      (extract_words_borrowed)
 //!     ▼
-//!  prepare   Definition-4 eligibility — delta'd from the run cache when
-//!     │      a cached calendar run covers the pivot [incremental_prep]
-//!     │      (prep_words_delta), rebuilt from packed calendar words
-//!     │      otherwise; the cache persists *across* solves in the
-//!     │      worker's arena under the world-version handshake
-//!     │      (run_cache_cross_solve_hits); runs clipped to the
-//!     │      initiator's                             (pivots_processed)
+//!  prepare   Definition-4 eligibility from the arena's run cache: a
+//!     │      candidate whose cached calendar-absolute run covers the
+//!     │      pivot costs interval arithmetic (prep_words_delta), a miss
+//!     │      one word scan of its calendar; the cache persists *across*
+//!     │      solves in the worker's arena under the world-version
+//!     │      handshake (run_cache_cross_solve_hits); runs clipped to
+//!     │      the initiator's                         (pivots_processed)
 //!     ▼
 //!   peel     fixpoint (p,k)-core over eligible ∪ {q}   [core_peel_fixpoint]
 //!     │        ├─ sub-core candidates leave VA forever (peeled_candidates)
 //!     │        └─ core < p, or q short of p−1−k
 //!     │           acquaintances → refuse pivot   (pivots_refused_by_core)
 //!     ▼
-//!   floor    optimistic distance floor over the core   [sharp_pivot_floor,
-//!     │        compat-window + acq restricted           acq_pivot_floor]
+//!   floor    optimistic distance floor over the core   [sharp_pivot_floor]
+//!     │        compat-window restricted
 //!     │        └─ incumbent ≤ floor → skip pivot        (pivots_skipped)
 //!     ▼
-//! materialize-on-touch  availability words + Lemma-5 counters — under
-//!     │        [incremental_prep] built only for the post-peel core,
-//!     │        and under [materialize_on_touch] deferred further: a
-//!     │        row is built the first time a descent frame actually
-//!     │        touches it, so frames pruned at the parent never pay
-//!     │        for their rows; skipped pivots never touch a
-//!     │        calendar word                        (prep_words_rebuilt)
+//! materialize-on-touch  availability words + Lemma-5 counters for the
+//!     │        post-peel core, built only once the pivot has survived
+//!     │        every pre-descent bound (the finalized floor and the
+//!     │        seeded incumbent): skipped pivots never copy a calendar
+//!     │        word                                 (prep_words_rebuilt)
 //!     ▼
 //!  descend   exact branch-and-bound frames              (frames)
 //!              ├─ Lemma 2 / 3 / 5 prunes               (distance_prunes, …)
@@ -73,21 +71,18 @@
 //!                                    (children_pruned_by_parent_bound)
 //! ```
 //!
-//! The peel and floor stages are pure functions of `(query, eligible
-//! set)`, so their results are **shared**: computed once per
-//! candidate-set signature ([`PivotPrep`] for the full-candidate
-//! signature, the [`PivotArena`] memo for the last per-pivot one) and
-//! reused across the pivot loop and across parallel workers
-//! ([`SelectConfig::shared_pivot_prep`]). The run cache behind the
-//! prepare stage's delta path is likewise per-solve state in the
-//! [`PivotArena`] — promise-ordered pivots revisit overlapping
-//! intervals, so after the first pivot most candidates' Definition-4
-//! runs are pure arithmetic on the cached calendar-absolute run, with
-//! no pointer chase into the calendars at all
-//! ([`SelectConfig::incremental_prep`]).
-//!
-//! [`SelectConfig::shared_pivot_prep`]: crate::SelectConfig::shared_pivot_prep
-//! [`SelectConfig::incremental_prep`]: crate::SelectConfig::incremental_prep
+//! The peel stage is a pure function of `(query, eligible set)`, so its
+//! result is **shared**: computed once per candidate-set signature
+//! ([`PivotPrep`] for the full-candidate signature, the [`PivotArena`]
+//! memo for the last per-pivot one) and reused across the pivot loop and
+//! across parallel workers. The run cache behind the prepare stage is
+//! likewise per-solve state in the [`PivotArena`] — promise-ordered
+//! pivots revisit overlapping intervals, so after the first pivot most
+//! candidates' Definition-4 runs are pure arithmetic on the cached
+//! calendar-absolute run, with no pointer chase into the calendars at
+//! all. Caching, pooling and the deferred materialization are
+//! bit-identical to rebuilding everything per pivot (property-tested
+//! against the scalar [`reference`](crate::reference) preparation).
 
 // Parallel per-slot counters are clearer with indexed loops.
 #![allow(clippy::needless_range_loop)]
@@ -194,7 +189,6 @@ pub fn solve_stgq_controlled<'a, G: CandidateTopology>(
     let m = query.m();
     let p = query.p();
     let mut stats = SearchStats::default();
-    arena.pooling = cfg.pool_pivot_buffers;
     // A stale split from the previous solve must never be read as this
     // one's, whichever early return below fires.
     arena.timings = StageTimings::default();
@@ -276,7 +270,7 @@ pub fn solve_stgq_controlled<'a, G: CandidateTopology>(
             continue;
         }
         let fin_t0 = detail.then(Instant::now);
-        let finalized = finalize_pivot(fg, calendars, &prep, &mut job, &mut stats, arena);
+        let finalized = finalize_pivot(fg, &prep, &mut job, &mut stats, arena);
         if let Some(t0) = fin_t0 {
             tm.finalize_ns += span_ns(t0, Instant::now());
         }
@@ -319,16 +313,14 @@ pub fn solve_stgq_controlled<'a, G: CandidateTopology>(
                 continue;
             }
         }
-        // First frame touch ([`SelectConfig::materialize_on_touch`]):
-        // the pivot has survived every bound it will face before exact
-        // descent, so build its availability rows and Lemma-5 counters
-        // now — the skips above paid zero availability word traffic.
-        if prep.materialize_on_touch {
-            let mat_t0 = detail.then(Instant::now);
-            materialize_pivot(fg, calendars, &prep, &mut job, &mut stats);
-            if let Some(t0) = mat_t0 {
-                tm.finalize_ns += span_ns(t0, Instant::now());
-            }
+        // First frame touch: the pivot has survived every bound it will
+        // face before exact descent, so build its availability rows and
+        // Lemma-5 counters now — the skips above paid zero availability
+        // word traffic.
+        let mat_t0 = detail.then(Instant::now);
+        materialize_pivot(fg, calendars, &mut job, &mut stats);
+        if let Some(t0) = mat_t0 {
+            tm.finalize_ns += span_ns(t0, Instant::now());
         }
         // Coarse split: everything since the last mark was preparation
         // (including skipped pivots and seeding); the descent span is
@@ -426,63 +418,32 @@ pub(crate) fn dist_tie_blocks<G: CandidateTopology>(fg: &G) -> Vec<(u32, u32)> {
     blocks
 }
 
-/// The eligible-degree threshold `p − 1 − k` for the acquaintance-aware
-/// floor restriction, or `None` when the restriction is off or vacuous
-/// (`k ≥ p − 1` puts no lower bound on in-group acquaintances).
-pub(crate) fn acq_floor_min_deg(cfg: &SelectConfig, p: usize, k: usize) -> Option<usize> {
-    (cfg.sharp_pivot_floor && cfg.acq_pivot_floor && p >= 2 && p - 1 > k).then(|| p - 1 - k)
-}
-
 /// Per-solve shared pivot preprocessing: everything about pivot
 /// preparation that does **not** depend on the pivot slot — the query
-/// shape, the distance tie blocks, the peel/floor thresholds, and the
-/// memoized candidate-space reduction for the *full* candidate set.
+/// shape, the distance tie blocks, the peel threshold, and the memoized
+/// candidate-space reduction for the *full* candidate set.
 ///
 /// Built once per `(query, feasible graph)` and shared read-only by the
-/// sequential pivot loop and by every parallel worker
-/// ([`SelectConfig::shared_pivot_prep`]): on dense instances most
-/// pivots' eligible sets equal the full candidate set, so the fixpoint
-/// peel and the acquaintance-floor mask are computed exactly once here
-/// instead of per pivot per worker. Pivots with a *different* eligible
-/// signature fall back to the arena's own one-entry memo
-/// ([`PivotArena`]), and with sharing off everything is recomputed per
-/// pivot (the ablation baseline).
-///
-/// [`SelectConfig::shared_pivot_prep`]: crate::SelectConfig::shared_pivot_prep
+/// sequential pivot loop and by every parallel worker: on dense
+/// instances most pivots' eligible sets equal the full candidate set, so
+/// the fixpoint peel is computed exactly once here instead of per pivot
+/// per worker. Pivots with a *different* eligible signature fall back to
+/// the arena's own one-entry memo ([`PivotArena`]).
 pub(crate) struct PivotPrep {
     pub(crate) p: usize,
     pub(crate) m: usize,
     pub(crate) horizon: usize,
     /// [`SelectConfig::sharp_pivot_floor`](crate::SelectConfig::sharp_pivot_floor).
     pub(crate) sharp_floor: bool,
-    /// One-pass acquaintance-floor threshold (`None` when off — or when
-    /// fixpoint peeling is active, which subsumes it: every peel
-    /// survivor passes the one-pass filter by construction).
-    pub(crate) acq_min_deg: Option<usize>,
     /// Fixpoint peel threshold `p − 1 − k` (`None` when off/vacuous).
     pub(crate) peel_min_deg: Option<usize>,
-    /// Whether memoized reductions may be consulted at all.
-    pub(crate) share: bool,
     /// Equal-distance order blocks for availability tie-breaking
     /// (`None` when [`SelectConfig::availability_ordering`] is off).
     ///
     /// [`SelectConfig::availability_ordering`]: crate::SelectConfig::availability_ordering
     pub(crate) tie_blocks: Option<Vec<(u32, u32)>>,
-    /// [`SelectConfig::incremental_prep`]: phase 1 runs off the arena's
-    /// per-solve run cache and the availability words are materialized
-    /// lazily in [`finalize_pivot`].
-    ///
-    /// [`SelectConfig::incremental_prep`]: crate::SelectConfig::incremental_prep
-    pub(crate) incremental: bool,
-    /// [`SelectConfig::materialize_on_touch`]: [`finalize_pivot`] leaves
-    /// the availability rows and Lemma-5 counters unbuilt; callers
-    /// invoke [`materialize_pivot`] themselves right before the first
-    /// frame touch (exact descent or root vetting), after every
-    /// pre-descent bound has had its chance to retire the pivot.
-    ///
-    /// [`SelectConfig::materialize_on_touch`]: crate::SelectConfig::materialize_on_touch
-    pub(crate) materialize_on_touch: bool,
-    /// The reduction memo for the full-candidate eligible signature.
+    /// The reduction memo for the full-candidate eligible signature
+    /// (`None` when peeling is off).
     pub(crate) shared_memo: Option<PrepMemo>,
 }
 
@@ -497,42 +458,24 @@ impl PivotPrep {
         cfg: &SelectConfig,
     ) -> Self {
         let peel = peel_min_deg(cfg.core_peel_fixpoint, p, k);
-        let acq_min_deg = if peel.is_some() {
-            None
-        } else {
-            acq_floor_min_deg(cfg, p, k)
-        };
-        let mut prep = PivotPrep {
-            p,
-            m,
-            horizon,
-            sharp_floor: cfg.sharp_pivot_floor,
-            acq_min_deg,
-            peel_min_deg: peel,
-            share: cfg.shared_pivot_prep,
-            tie_blocks: cfg.availability_ordering.then(|| dist_tie_blocks(fg)),
-            incremental: cfg.incremental_prep,
-            materialize_on_touch: cfg.materialize_on_touch,
-            shared_memo: None,
-        };
-        if prep.share && (prep.peel_min_deg.is_some() || prep.acq_min_deg.is_some()) {
+        let shared_memo = peel.map(|min_deg| {
             let mut all = BitSet::new(fg.len());
             for &c in fg.candidate_order() {
                 all.insert(c as usize);
             }
             let mut memo = PrepMemo::empty();
-            memo.recompute(
-                fg,
-                &all,
-                prep.p,
-                prep.peel_min_deg,
-                prep.acq_min_deg,
-                &mut Vec::new(),
-                &mut Vec::new(),
-            );
-            prep.shared_memo = Some(memo);
+            memo.recompute(fg, &all, p, min_deg, &mut Vec::new(), &mut Vec::new());
+            memo
+        });
+        PivotPrep {
+            p,
+            m,
+            horizon,
+            sharp_floor: cfg.sharp_pivot_floor,
+            peel_min_deg: peel,
+            tie_blocks: cfg.availability_ordering.then(|| dist_tie_blocks(fg)),
+            shared_memo,
         }
-        prep
     }
 
     /// A bare prep — plain floor, no peel, no tie-breaking. The greedy
@@ -544,36 +487,28 @@ impl PivotPrep {
             m,
             horizon,
             sharp_floor: false,
-            acq_min_deg: None,
             peel_min_deg: None,
-            share: false,
             tie_blocks: None,
-            incremental: false,
-            materialize_on_touch: false,
             shared_memo: None,
         }
     }
 }
 
-/// Memoized candidate-space reduction for one eligible-set signature:
-/// the fixpoint-peeled core and/or the one-pass acquaintance-floor mask
-/// are pure functions of `(query, eligible set)`, so equal signatures
-/// reuse the stored result instead of re-running the degree passes.
-/// Buffers are owned and recycled across recomputations — a memo miss
-/// costs the degree passes, never an allocation.
+/// Memoized fixpoint peel for one eligible-set signature: the peeled
+/// core is a pure function of `(query, eligible set)`, so equal
+/// signatures reuse the stored result instead of re-running the degree
+/// passes. Buffers are owned and recycled across recomputations — a memo
+/// miss costs the degree passes, never an allocation.
 pub(crate) struct PrepMemo {
     /// The eligible set this memo was computed for (the cache key).
     eligible: BitSet,
-    /// Fixpoint-peel outcome when peeling is active:
-    /// `(peeled count, refused)` — `refused` when the surviving core
-    /// (in [`core`](Self::core)) leaves fewer than `p` people or leaves
-    /// the initiator short of `p − 1 − k` acquaintances.
-    peel: Option<(u64, bool)>,
-    /// The surviving core (valid when [`peel`](Self::peel) is `Some`).
+    /// How many eligible candidates the peel removed.
+    peeled: u64,
+    /// Whether the surviving core leaves fewer than `p` people or
+    /// leaves the initiator short of `p − 1 − k` acquaintances.
+    refused: bool,
+    /// The surviving core.
     core: BitSet,
-    /// One-pass floor mask when the acquaintance floor is active
-    /// without peeling (empty otherwise).
-    floor_ok: Vec<bool>,
 }
 
 /// Overwrite `dst` with `src`, reusing `dst`'s words when the
@@ -591,46 +526,27 @@ impl PrepMemo {
     fn empty() -> Self {
         PrepMemo {
             eligible: BitSet::new(0),
-            peel: None,
+            peeled: 0,
+            refused: false,
             core: BitSet::new(0),
-            floor_ok: Vec::new(),
         }
     }
 
     /// Recompute this memo for `eligible` in place; `deg` and `queue`
     /// are peel scratch.
-    #[allow(clippy::too_many_arguments)]
     fn recompute<G: CandidateTopology>(
         &mut self,
         fg: &G,
         eligible: &BitSet,
         p: usize,
-        peel_deg: Option<usize>,
-        acq_min_deg: Option<usize>,
+        min_deg: usize,
         deg: &mut Vec<u32>,
         queue: &mut Vec<u32>,
     ) {
         copy_bitset(&mut self.eligible, eligible);
-        self.peel = None;
-        self.floor_ok.clear();
-        if let Some(md) = peel_deg {
-            copy_bitset(&mut self.core, eligible);
-            let peeled = peel_to_core(fg, &mut self.core, md, deg, queue);
-            let refused = self.core.len() + 1 < p || !initiator_core_ok(fg, &self.core, md);
-            self.peel = Some((peeled, refused));
-        }
-        if let Some(md) = acq_min_deg {
-            // Acquaintance-aware floor restriction: a candidate's usable
-            // acquaintances at this signature are its neighbors among the
-            // eligible set plus the initiator (compact 0 — always a group
-            // member). One word-parallel popcount per candidate.
-            self.floor_ok.resize(fg.len(), false);
-            for c in eligible.iter() {
-                let d = fg.row_intersection_len(c as u32, eligible)
-                    + usize::from(fg.adjacent(c as u32, 0));
-                self.floor_ok[c] = d >= md;
-            }
-        }
+        copy_bitset(&mut self.core, eligible);
+        self.peeled = peel_to_core(fg, &mut self.core, min_deg, deg, queue);
+        self.refused = self.core.len() + 1 < p || !initiator_core_ok(fg, &self.core, min_deg);
     }
 }
 
@@ -667,7 +583,9 @@ pub(crate) struct PivotJob {
     pub(crate) runs: Vec<Option<SlotRange>>,
     /// Availability bitmaps over interval offsets, flattened to
     /// `avail_stride` words per compact vertex (one allocation for the
-    /// whole pivot; ineligible vertices stay all-zero and are never read).
+    /// whole pivot; built by [`materialize_pivot`] for the post-peel
+    /// eligible members only — everyone else's row stays all-zero and is
+    /// never read).
     pub(crate) avail_words: Vec<u64>,
     pub(crate) avail_stride: usize,
     /// This pivot's access order: the graph's total-distance order with
@@ -682,17 +600,9 @@ pub(crate) struct PivotJob {
     pub(crate) dist_bound: Dist,
     /// Pivot-eligible candidates (Definition 4) over compact indices.
     pub(crate) eligible: BitSet,
-    /// Per compact vertex: whether it passes the acquaintance-aware floor
-    /// restriction (eligible degree ≥ p − 1 − k). Empty when the
-    /// restriction is off — [`compat_dist_floor`] then treats every
-    /// eligible candidate as admissible. Scratch for the floor only; the
-    /// search itself never reads it.
-    floor_ok: Vec<bool>,
     /// `VA` restricted to the pivot-eligible candidates, with the Lemma-5
     /// per-slot unavailability counters.
     pub(crate) va: StVaState,
-    /// Word staging buffer used during preparation only.
-    scratch: Vec<u64>,
 }
 
 impl PivotJob {
@@ -715,13 +625,11 @@ impl PivotJob {
             order: Vec::new(),
             dist_bound: 0,
             eligible: BitSet::new(0),
-            floor_ok: Vec::new(),
             va: StVaState {
                 base: VaState::init_empty(),
                 unavail: Vec::new(),
                 max_unavail_ub: 0,
             },
-            scratch: Vec::new(),
         }
     }
 }
@@ -734,17 +642,13 @@ impl PivotJob {
 /// sequential pivot loop — and, via [`solve_stgq_pooled`], a whole stream
 /// of planner queries — reuse a single set of buffers. The arena holds at
 /// most one spare job, which is exactly what a sequential loop produces;
-/// parallel workers each keep their own.
-///
-/// Pooling is an allocation strategy only: every buffer is fully
-/// re-initialised by `prepare_pivot`, so results are bit-identical with
-/// pooling disabled ([`SelectConfig::pool_pivot_buffers`]).
+/// parallel workers each keep their own. Every buffer is fully
+/// re-initialised by [`prepare_pivot`] and [`materialize_pivot`], so a
+/// long-lived arena answers bit-identically to a fresh one.
 ///
 /// The arena also carries the solve's wall-clock stage split: every
 /// sequential STGQ solve run on it refreshes [`timings`](Self::timings)
 /// (see [`crate::timings`] for the recording modes and their cost).
-///
-/// [`SelectConfig::pool_pivot_buffers`]: crate::SelectConfig::pool_pivot_buffers
 pub struct PivotArena {
     /// Wall-clock stage split of the most recent sequential STGQ solve
     /// run on this arena (reset at the top of every such solve; stays
@@ -760,29 +664,23 @@ pub struct PivotArena {
     /// per-call clocks instead of the coarse span scheme (perf tooling
     /// only; see [`crate::timings`]).
     pub timing_detail: bool,
-    pub(crate) pooling: bool,
     spare: Option<PivotJob>,
     /// The arena's own one-entry reduction memo: the last distinct
-    /// per-pivot eligible signature whose peel/floor result was
-    /// computed here (consulted after the shared [`PivotPrep`] memo,
-    /// which covers the full-candidate signature). Invalidated by
+    /// per-pivot eligible signature whose peel was computed here
+    /// (consulted after the shared [`PivotPrep`] memo, which covers the
+    /// full-candidate signature). Invalidated by
     /// [`begin_solve`](Self::begin_solve) — arenas outlive queries, and
     /// a signature match is only meaningful within one `(query, graph)`.
     memo: Option<PrepMemo>,
     /// Per-solve cache of each compact vertex's **unclipped** maximal
-    /// availability run (calendar-absolute slots) — the incremental
-    /// prep's delta state ([`SelectConfig::incremental_prep`]).
-    /// Promise-ordered pivots cover overlapping intervals, so once a
-    /// vertex's run is cached every later pivot falling inside it gets
-    /// its Definition-4 run by pure interval arithmetic. Only runs that
-    /// actually contain a probed pivot are stored (a vertex unavailable
-    /// at the pivot caches nothing — `run_containing` fails fast
-    /// there), and [`begin_solve`](Self::begin_solve) wipes the cache:
-    /// arenas outlive queries, and runs are only meaningful within one
-    /// `(query, calendars)` pair. Cold-per-solve also keeps pooled and
-    /// fresh arenas bit-identical.
-    ///
-    /// [`SelectConfig::incremental_prep`]: crate::SelectConfig::incremental_prep
+    /// availability run (calendar-absolute slots). Promise-ordered
+    /// pivots cover overlapping intervals, so once a vertex's run is
+    /// cached every later pivot falling inside it gets its Definition-4
+    /// run by pure interval arithmetic. Only runs that actually contain
+    /// a probed pivot are stored (a vertex unavailable at the pivot
+    /// caches nothing), and [`begin_solve`](Self::begin_solve) wipes the
+    /// cache: arenas outlive queries, and runs are only meaningful
+    /// within one `(query, calendars)` pair.
     run_cache: Vec<Option<SlotRange>>,
     /// **Cross-solve** run cache: unclipped maximal runs that survived a
     /// previous solve on this arena, keyed by *global* person id and
@@ -810,13 +708,12 @@ pub struct PivotArena {
 }
 
 impl Default for PivotArena {
-    /// Pooling off, timing recording on (coarse mode).
+    /// An empty arena, timing recording on (coarse mode).
     fn default() -> Self {
         PivotArena {
             timings: StageTimings::default(),
             record_timings: true,
             timing_detail: false,
-            pooling: false,
             spare: None,
             memo: None,
             run_cache: Vec::new(),
@@ -829,25 +726,14 @@ impl Default for PivotArena {
 }
 
 impl PivotArena {
-    /// A fresh arena with pooling enabled (the per-query config may still
-    /// disable it).
+    /// A fresh arena (the same as [`PivotArena::default`]).
     pub fn new() -> Self {
-        PivotArena {
-            pooling: true,
-            ..PivotArena::default()
-        }
-    }
-
-    /// An arena that never recycles — every pivot allocates fresh buffers
-    /// (the PR-1 behavior, kept for ablation).
-    pub(crate) fn unpooled() -> Self {
         PivotArena::default()
     }
 
-    /// Invalidate cross-query state (the reduction memo and the
-    /// incremental-prep run cache); buffers stay. Called at the top of
-    /// every solve — the planner's long-lived arenas serve many
-    /// `(query, graph)` pairs.
+    /// Invalidate cross-query state (the reduction memo and the per-solve
+    /// run cache); buffers stay. Called at the top of every solve — the
+    /// planner's long-lived arenas serve many `(query, graph)` pairs.
     pub(crate) fn begin_solve(&mut self) {
         self.memo = None;
         self.run_cache.clear();
@@ -897,97 +783,88 @@ impl PivotArena {
 
     /// Hand back a spent job's buffers for the next preparation.
     pub(crate) fn recycle(&mut self, job: PivotJob) {
-        if self.pooling {
-            self.spare = Some(job);
-        }
+        self.spare = Some(job);
     }
 
     fn take(&mut self) -> PivotJob {
         self.spare.take().unwrap_or_else(PivotJob::empty)
     }
 
-    /// The reduction memo for `eligible` under `prep`: the shared
-    /// full-candidate entry when the signature matches, else this
-    /// arena's last entry, else computed fresh (and cached here when
-    /// sharing is on — with it off every pivot recomputes, the
-    /// ablation baseline).
+    /// The peel memo for `eligible` under `prep` (threshold `min_deg`):
+    /// the shared full-candidate entry when the signature matches, else
+    /// this arena's last entry, else computed fresh and cached here.
     fn reduction<'a, G: CandidateTopology>(
         &'a mut self,
         fg: &G,
         prep: &'a PivotPrep,
+        min_deg: usize,
         eligible: &BitSet,
     ) -> &'a PrepMemo {
+        if let Some(shared) = prep.shared_memo.as_ref() {
+            if shared.eligible == *eligible {
+                return shared;
+            }
+        }
         let PivotArena {
             memo,
             deg_scratch,
             queue_scratch,
             ..
         } = self;
-        if prep.share {
-            if let Some(shared) = prep.shared_memo.as_ref() {
-                if shared.eligible == *eligible {
-                    return shared;
-                }
-            }
-            if memo.as_ref().is_some_and(|m| m.eligible == *eligible) {
-                return memo.as_ref().expect("just matched");
-            }
+        if memo.as_ref().is_some_and(|m| m.eligible == *eligible) {
+            return memo.as_ref().expect("just matched");
         }
         let memo = memo.get_or_insert_with(PrepMemo::empty);
-        memo.recompute(
-            fg,
-            eligible,
-            prep.p,
-            prep.peel_min_deg,
-            prep.acq_min_deg,
-            deg_scratch,
-            queue_scratch,
-        );
+        memo.recompute(fg, eligible, prep.p, min_deg, deg_scratch, queue_scratch);
         memo
     }
-}
 
-/// The calendar-absolute maximal available run through `pivot`, or
-/// `None` when the person is busy at the pivot — the unit the
-/// [`SelectConfig::incremental_prep`] run cache stores. Runs on the
-/// calendar's backing words directly ([`CalendarRef::words`] keeps bits at
-/// the horizon and beyond zero, so `run_through_bit`'s packed-form
-/// contract holds with no re-basing), which makes a cache miss
-/// O(run-length / 64) word scans rather than a per-slot probe walk.
-///
-/// [`SelectConfig::incremental_prep`]: crate::SelectConfig::incremental_prep
-#[inline]
-fn unclipped_run(cal: CalendarRef<'_>, horizon: usize, pivot: SlotId) -> Option<SlotRange> {
-    run_through_bit(cal.words(), horizon, pivot).map(|(lo, hi)| SlotRange::new(lo, hi))
-}
-
-/// Consult the cross-solve run cache for global person `global`: the
-/// stored run, provided the handshake is active, the entry's shard-version
-/// stamp still holds, and the run covers `pivot` (a maximal run is maximal
-/// through every slot it contains, so any covered pivot may reuse it).
-#[inline]
-fn cross_solve_run(
-    cross: &HashMap<u32, (u64, SlotRange)>,
-    versions: Option<&[u64]>,
-    global: u32,
-    pivot: SlotId,
-) -> Option<SlotRange> {
-    let versions = versions?;
-    let &(stamp, run) = cross.get(&global)?;
-    (stamp == versions[global as usize % versions.len()] && run.contains(pivot)).then_some(run)
-}
-
-/// Remember a freshly scanned unclipped run for later solves, stamped
-/// with its owner's current shard version. No-op without the handshake.
-#[inline]
-fn store_cross_run(
-    cross: &mut HashMap<u32, (u64, SlotRange)>,
-    versions: Option<&[u64]>,
-    global: u32,
-    run: SlotRange,
-) {
-    if let Some(versions) = versions {
-        cross.insert(global, (versions[global as usize % versions.len()], run));
+    /// Compact vertex `c`'s **unclipped** (calendar-absolute) maximal
+    /// available run through `pivot`, or `None` when it is busy there.
+    /// The `bool` is `true` when the per-solve run cache answered (a
+    /// cached run covering the pivot: a maximal run is maximal through
+    /// every slot it contains). A miss consults the cross-solve cache,
+    /// then scans the calendar's backing words directly
+    /// ([`CalendarRef::words`] keeps bits at the horizon and beyond zero,
+    /// so `run_through_bit`'s packed-form contract holds with no
+    /// re-basing) — O(run-length / 64) word scans, not a per-slot probe
+    /// walk — and caches what it found.
+    fn run_through<G: CandidateTopology>(
+        &mut self,
+        fg: &G,
+        calendars: Cals<'_>,
+        c: u32,
+        pivot: SlotId,
+        horizon: usize,
+        stats: &mut SearchStats,
+    ) -> Option<(SlotRange, bool)> {
+        if let Some(r) = self.run_cache[c as usize].filter(|r| r.contains(pivot)) {
+            return Some((r, true));
+        }
+        let g = fg.origin(c).index() as u32;
+        // Handshake only: the person's current shard version. A stored
+        // run whose stamp still matches it is a run over unchanged
+        // calendar words.
+        let stamp = self
+            .world_versions
+            .as_deref()
+            .map(|v| v[g as usize % v.len()]);
+        let run = match (stamp, self.cross_runs.get(&g)) {
+            (Some(now), Some(&(then, r))) if now == then && r.contains(pivot) => {
+                stats.run_cache_cross_solve_hits += 1;
+                r
+            }
+            _ => {
+                let (lo, hi) = run_through_bit(calendars.get(g as usize).words(), horizon, pivot)?;
+                let r = SlotRange::new(lo, hi);
+                if let Some(now) = stamp {
+                    self.cross_runs.insert(g, (now, r));
+                }
+                r
+            }
+        };
+        self.run_cache[c as usize] = Some(run);
+        Some((run, false))
     }
 }
 
@@ -1037,18 +914,21 @@ fn run_through_bit(words: &[u64], len: usize, pos: usize) -> Option<(usize, usiz
 }
 
 /// **Phase 1** of pivot preparation: Definition-4 eligibility from the
-/// packed calendar words, the (tie-broken) access order, and the plain
+/// arena's run cache, the (tie-broken) access order, and the plain
 /// `p − 1`-smallest-distances bound — everything the promise-order skip
 /// check needs, and nothing more. Returns `None` when the pivot cannot
 /// host any feasible solution (initiator ineligible or too few eligible
 /// candidates); `stats.pivots_processed` counts the pivots that pass
 /// the initiator check, as in the sequential engine.
 ///
-/// The expensive remainder — the fixpoint core peel, the sharp floor,
-/// and the `VA` state with its Lemma-5 counters — lives in
-/// [`finalize_pivot`], which callers invoke only for pivots the
-/// incumbent bound did **not** retire. On hot dense workloads most
-/// pivots are skipped, and skipped pivots now pay only this phase.
+/// Every run comes from [`PivotArena::run_through`]: a covered pivot
+/// costs interval arithmetic only (`prep_words_delta`), no calendar
+/// pointer chase and no word traffic. The flattened availability buffer
+/// is not touched here at all. The expensive remainder — the fixpoint
+/// core peel and the sharp floor ([`finalize_pivot`]), then the
+/// availability rows and the `VA` state with its Lemma-5 counters
+/// ([`materialize_pivot`]) — runs only for pivots the incumbent bound
+/// did **not** retire, so a skipped pivot pays exactly this phase.
 pub(crate) fn prepare_pivot<G: CandidateTopology>(
     fg: &G,
     calendars: Cals<'_>,
@@ -1061,58 +941,22 @@ pub(crate) fn prepare_pivot<G: CandidateTopology>(
     let PivotPrep { p, m, horizon, .. } = *prep;
     let tie_blocks = prep.tie_blocks.as_deref();
     let interval = pivot_interval(pivot, m, horizon);
-    if prep.incremental && arena.run_cache.len() != f {
+    if arena.run_cache.len() != f {
         arena.run_cache.clear();
         arena.run_cache.resize(f, None);
     }
-    // Definition 4 for the initiator: she must support an m-run too. On
-    // the incremental path her run comes from the per-solve cache: the
+    // Definition 4 for the initiator: she must support an m-run too. The
     // maximal run *within* the interval is the calendar-maximal run
     // through the pivot clipped to it (both contain the pivot), so the
     // unclipped run serves every pivot it covers.
-    let q_run = if prep.incremental {
-        let full = match arena.run_cache[0] {
-            Some(r) if r.contains(pivot) => Some(r),
-            _ => {
-                let g = fg.origin(0).index() as u32;
-                let versions = arena.world_versions.as_deref();
-                match cross_solve_run(&arena.cross_runs, versions, g, pivot) {
-                    Some(r) => {
-                        stats.run_cache_cross_solve_hits += 1;
-                        arena.run_cache[0] = Some(r);
-                        Some(r)
-                    }
-                    None => {
-                        let r = unclipped_run(calendars.get(g as usize), horizon, pivot);
-                        if let Some(r) = r {
-                            arena.run_cache[0] = Some(r);
-                            store_cross_run(&mut arena.cross_runs, versions, g, r);
-                        }
-                        r
-                    }
-                }
-            }
-        };
-        full.map(|r| SlotRange::new(r.lo.max(interval.lo), r.hi.min(interval.hi)))
-            .filter(|r| r.len() >= m)?
-    } else {
-        calendars
-            .get(fg.origin(0).index())
-            .run_containing(pivot, interval)
-            .filter(|r| r.len() >= m)?
-    };
+    let (q_full, _) = arena.run_through(fg, calendars, 0, pivot, horizon, stats)?;
+    let q_run = SlotRange::new(q_full.lo.max(interval.lo), q_full.hi.min(interval.hi));
+    if q_run.len() < m {
+        return None;
+    }
     stats.pivots_processed += 1;
 
-    // Per-pivot eligibility (Definition 4) and interval availability.
-    // Everything runs on packed words: the calendar's words are shifted
-    // onto interval offsets 64 slots at a time (`Calendar::range_words`),
-    // the Definition-4 run comes from leading/trailing-zero scans on
-    // those words (`run_through_bit`), and eligible candidates' words are
-    // copied into one flattened buffer — no per-slot probe, and with a
-    // warm arena no allocation at all.
-    let ilen = interval.len();
-    let stride = ilen.div_ceil(64);
-    let q_off = pivot - interval.lo;
+    let stride = interval.len().div_ceil(64);
     let mut job = arena.take();
     job.pivot = pivot;
     job.interval = interval;
@@ -1121,98 +965,31 @@ pub(crate) fn prepare_pivot<G: CandidateTopology>(
     job.runs.clear();
     job.runs.resize(f, None);
     job.runs[0] = Some(q_run);
-    if !prep.incremental {
-        job.avail_words.clear();
-        job.avail_words.resize(f * stride, 0);
-    }
     if job.eligible.capacity() == f {
         job.eligible.clear();
     } else {
         job.eligible = BitSet::new(f);
     }
-    if prep.incremental {
-        // Delta path ([`SelectConfig::incremental_prep`]): Definition-4
-        // runs come from the per-solve cache — a covered pivot costs
-        // interval arithmetic only, no calendar pointer chase and no
-        // word traffic. The flattened availability buffer is not
-        // touched here at all; `finalize_pivot` materializes it for
-        // the pivots that survive the incumbent bound, so a skipped
-        // pivot pays exactly this loop.
-        let PivotArena {
-            run_cache: cache,
-            cross_runs,
-            world_versions,
-            ..
-        } = &mut *arena;
-        let versions = world_versions.as_deref();
-        for &c in fg.candidate_order() {
-            let ci = c as usize;
-            let full = match cache[ci] {
-                Some(r) if r.contains(pivot) => {
-                    stats.prep_words_delta += stride as u64;
-                    Some(r)
-                }
-                _ => {
-                    let g = fg.origin(c).index() as u32;
-                    match cross_solve_run(cross_runs, versions, g, pivot) {
-                        Some(r) => {
-                            stats.run_cache_cross_solve_hits += 1;
-                            cache[ci] = Some(r);
-                            Some(r)
-                        }
-                        None => {
-                            let r = unclipped_run(calendars.get(g as usize), horizon, pivot);
-                            if let Some(r) = r {
-                                cache[ci] = Some(r);
-                                store_cross_run(cross_runs, versions, g, r);
-                            }
-                            r
-                        }
-                    }
-                }
-            };
-            let Some(full) = full else {
-                continue;
-            };
-            // Maximal run within the interval = the unclipped run ∩ the
-            // interval (both contain the pivot), then clipped to the
-            // initiator's run exactly as on the rebuild path below.
-            let run = SlotRange::new(full.lo.max(interval.lo), full.hi.min(interval.hi));
-            if run.len() < m {
-                continue;
-            }
-            let clipped = SlotRange::new(run.lo.max(q_run.lo), run.hi.min(q_run.hi));
-            if clipped.len() >= m {
-                job.runs[ci] = Some(clipped);
-                job.eligible.insert(ci);
-            }
+    for &c in fg.candidate_order() {
+        let Some((full, hit)) = arena.run_through(fg, calendars, c, pivot, horizon, stats) else {
+            continue;
+        };
+        if hit {
+            stats.prep_words_delta += stride as u64;
         }
-    } else {
-        for &c in fg.candidate_order() {
-            let cal = calendars.get(fg.origin(c).index());
-            job.scratch.clear();
-            job.scratch.extend(cal.range_words(interval));
-            if let Some((lo, hi)) =
-                run_through_bit(&job.scratch, ilen, q_off).filter(|&(lo, hi)| hi - lo + 1 >= m)
-            {
-                let run = SlotRange::new(interval.lo + lo, interval.lo + hi);
-                // Every group contains the initiator, so its common run is a
-                // subset of hers — a candidate whose overlap with `q_run` is
-                // under `m` slots can never join any group at this pivot.
-                // Clipping here (instead of letting depth-1 temporal checks
-                // discover it) keeps such candidates out of `VA` entirely:
-                // fewer examinations, smaller Lemma-5 counters, and a tighter
-                // pivot distance bound. Both runs contain the pivot, so the
-                // intersection is never empty.
-                let clipped = SlotRange::new(run.lo.max(q_run.lo), run.hi.min(q_run.hi));
-                if clipped.len() >= m {
-                    job.runs[c as usize] = Some(clipped);
-                    job.eligible.insert(c as usize);
-                    let start = c as usize * stride;
-                    job.avail_words[start..start + stride].copy_from_slice(&job.scratch);
-                    stats.prep_words_rebuilt += stride as u64;
-                }
-            }
+        // Every group contains the initiator, so its common run is a
+        // subset of hers — a candidate whose overlap with `q_run` is
+        // under `m` slots can never join any group at this pivot.
+        // Clipping here (instead of letting depth-1 temporal checks
+        // discover it) keeps such candidates out of `VA` entirely: fewer
+        // examinations, smaller Lemma-5 counters, and a tighter pivot
+        // distance bound. `q_run` lies inside the interval and both runs
+        // contain the pivot, so the clipped run is never empty and equals
+        // the Definition-4 run within the interval, clipped to hers.
+        let clipped = SlotRange::new(full.lo.max(q_run.lo), full.hi.min(q_run.hi));
+        if clipped.len() >= m {
+            job.runs[c as usize] = Some(clipped);
+            job.eligible.insert(c as usize);
         }
     }
     if job.eligible.len() + 1 < p {
@@ -1265,36 +1042,27 @@ pub(crate) fn prepare_pivot<G: CandidateTopology>(
 
 /// **Phase 2** of pivot preparation, for pivots that survived the
 /// incumbent bound: the candidate-space reduction and the sharp floor.
-/// The availability rows and the `VA` state with its Lemma-5 counters
-/// ([`materialize_pivot`]) are built at the end here in classic mode,
-/// or left to the caller's first frame touch under
-/// [`SelectConfig::materialize_on_touch`] — a pivot the *finalized*
-/// bound retires then pays for neither. Returns `false` when the
-/// pivot is refused outright — its fixpoint-peeled core cannot seat `p`
-/// people ([`SearchStats::pivots_refused_by_core`]), or, with the sharp
-/// floor, no `m`-slot window is covered by `p − 1` candidate runs — in
-/// which case the caller recycles the job.
+/// It builds no availability row — the caller runs
+/// [`materialize_pivot`] at the pivot's first frame touch, so a pivot
+/// the *finalized* bound retires never pays for one. Returns `false`
+/// when the pivot is refused outright — its fixpoint-peeled core cannot
+/// seat `p` people ([`SearchStats::pivots_refused_by_core`]), or, with
+/// the sharp floor, no `m`-slot window is covered by `p − 1` candidate
+/// runs — in which case the caller recycles the job.
 ///
 /// All query-level knobs ride in `prep` (see [`PivotPrep`]):
+/// `prep.peel_min_deg` removes candidates outside the fixpoint
+/// (p, k)-core from `VA` ([`SelectConfig::core_peel_fixpoint`]), and
 /// `prep.sharp_floor` selects the compatibility-restricted distance
-/// bound ([`SelectConfig::sharp_pivot_floor`]) — never looser than the
-/// plain `p − 1`-smallest-distances floor from phase 1.
-/// `prep.acq_min_deg` additionally restricts the sharp floor's
-/// candidate sets to candidates with at least `p − 1 − k` acquaintances
-/// among the eligible set and the initiator
-/// ([`SelectConfig::acq_pivot_floor`]); `prep.peel_min_deg` upgrades
-/// that one-pass filter to the fixpoint (p, k)-core peel, which removes
-/// such candidates from `VA` outright
-/// ([`SelectConfig::core_peel_fixpoint`]).
+/// bound ([`SelectConfig::sharp_pivot_floor`]) over the surviving
+/// candidates — never looser than the plain `p − 1`-smallest-distances
+/// floor from phase 1.
 ///
 /// [`SelectConfig::sharp_pivot_floor`]: crate::SelectConfig::sharp_pivot_floor
-/// [`SelectConfig::acq_pivot_floor`]: crate::SelectConfig::acq_pivot_floor
 /// [`SelectConfig::core_peel_fixpoint`]: crate::SelectConfig::core_peel_fixpoint
-/// [`SelectConfig::materialize_on_touch`]: crate::SelectConfig::materialize_on_touch
 /// [`SearchStats::pivots_refused_by_core`]: crate::SearchStats::pivots_refused_by_core
 pub(crate) fn finalize_pivot<G: CandidateTopology>(
     fg: &G,
-    calendars: Cals<'_>,
     prep: &PivotPrep,
     job: &mut PivotJob,
     stats: &mut SearchStats,
@@ -1302,38 +1070,30 @@ pub(crate) fn finalize_pivot<G: CandidateTopology>(
 ) -> bool {
     let PivotPrep { p, m, .. } = *prep;
 
-    // Candidate-space reduction (memoized per eligible-set signature —
+    // Fixpoint (p, k)-core peel, memoized per eligible-set signature —
     // on dense instances most pivots share the full-candidate signature
-    // and hit the shared prep entry): the fixpoint (p, k)-core peel
-    // shrinks `eligible` itself (peeled candidates can belong to no
-    // feasible group at this pivot, so they never enter `VA` or any
-    // floor), and/or the one-pass acquaintance-floor mask is fetched
-    // for `compat_dist_floor`.
-    job.floor_ok.clear();
-    if prep.peel_min_deg.is_some() || prep.acq_min_deg.is_some() {
-        let memo = arena.reduction(fg, prep, &job.eligible);
-        if let Some((peeled, core_refused)) = memo.peel {
-            stats.peeled_candidates += peeled;
-            if core_refused {
-                stats.pivots_refused_by_core += 1;
-                return false;
-            }
-            if peeled > 0 {
-                // Peeled vertices lose their runs too, so every
-                // consumer keyed on `runs[c].is_some()` (the sharp
-                // floor, root vetting) sees the core only.
-                for c in job.eligible.iter() {
-                    if !memo.core.contains(c) {
-                        job.runs[c] = None;
-                    }
-                }
-                // core ⊆ eligible, so intersecting is assignment
-                // without reallocating the pooled bitmap.
-                job.eligible.intersect_with(&memo.core);
-            }
+    // and hit the shared prep entry. It shrinks `eligible` itself:
+    // peeled candidates can belong to no feasible group at this pivot,
+    // so they never enter `VA` or the floor.
+    if let Some(min_deg) = prep.peel_min_deg {
+        let memo = arena.reduction(fg, prep, min_deg, &job.eligible);
+        stats.peeled_candidates += memo.peeled;
+        if memo.refused {
+            stats.pivots_refused_by_core += 1;
+            return false;
         }
-        if !memo.floor_ok.is_empty() {
-            job.floor_ok.extend_from_slice(&memo.floor_ok);
+        if memo.peeled > 0 {
+            // Peeled vertices lose their runs too, so every consumer
+            // keyed on `runs[c].is_some()` (the sharp floor, root
+            // vetting) sees the core only.
+            for c in job.eligible.iter() {
+                if !memo.core.contains(c) {
+                    job.runs[c] = None;
+                }
+            }
+            // core ⊆ eligible, so intersecting is assignment without
+            // reallocating the pooled bitmap.
+            job.eligible.intersect_with(&memo.core);
         }
     }
 
@@ -1350,26 +1110,15 @@ pub(crate) fn finalize_pivot<G: CandidateTopology>(
             None => return false,
         }
     }
-
-    // Availability-row materialization and Lemma-5 counters: built here
-    // immediately in the classic mode, or deferred to the caller's
-    // first frame touch ([`SelectConfig::materialize_on_touch`]) so the
-    // post-finalize incumbent checks and seeding can still retire the
-    // pivot for free.
-    if !prep.materialize_on_touch {
-        materialize_pivot(fg, calendars, prep, job, stats);
-    }
     true
 }
 
 /// **Phase 3** of pivot preparation — the *first frame touch*: the
-/// flattened availability rows (post-peel eligible members only, under
-/// [`SelectConfig::incremental_prep`]; phase 1 already copied them
-/// otherwise) and the `VA` state with its Lemma-5 per-slot
-/// unavailability counters. This is the word-traffic-heavy part of
-/// preparation — one calendar row per eligible candidate — and nothing
-/// before exact descent reads any of it, so under
-/// [`SelectConfig::materialize_on_touch`] callers run it only once a
+/// flattened availability rows of the post-peel eligible members and
+/// the `VA` state with its Lemma-5 per-slot unavailability counters.
+/// This is the word-traffic-heavy part of preparation — one calendar
+/// row per eligible candidate (`prep_words_rebuilt`) — and nothing
+/// before exact descent reads any of it, so callers run it only once a
 /// pivot has survived **every** pre-descent bound (the finalized sharp
 /// floor and the seeded incumbent). A pivot retired between
 /// finalization and descent then pays zero availability words.
@@ -1378,45 +1127,34 @@ pub(crate) fn finalize_pivot<G: CandidateTopology>(
 /// [`finalize_pivot`] returned `true` and before
 /// [`search_pivot_controlled`] / [`vet_pivot_roots`] /
 /// [`search_pivot_subtree`] read `job.va` or the availability rows.
-/// With `materialize_on_touch` off, [`finalize_pivot`] calls it itself
-/// (the classic per-pivot behaviour — same buffers, same bits, built
-/// unconditionally).
-///
-/// [`SelectConfig::incremental_prep`]: crate::SelectConfig::incremental_prep
-/// [`SelectConfig::materialize_on_touch`]: crate::SelectConfig::materialize_on_touch
 pub(crate) fn materialize_pivot<G: CandidateTopology>(
     fg: &G,
     calendars: Cals<'_>,
-    prep: &PivotPrep,
     job: &mut PivotJob,
     stats: &mut SearchStats,
 ) {
     let stride = job.avail_stride;
     let ilen = job.interval.len();
 
-    // Lazy word materialization ([`SelectConfig::incremental_prep`]):
-    // phase 1 never touched the flattened buffer, so build it here —
-    // only for pivots that reached this point, and only for the
-    // post-peel eligible members. Everyone else's row stays zero and is
-    // never read: the search, root vetting and subtree splitting all
-    // restrict themselves to `VA` members, which are exactly this set.
-    if prep.incremental {
-        job.avail_words.clear();
-        job.avail_words.resize(fg.len() * stride, 0);
-        let PivotJob {
-            interval,
-            ref eligible,
-            ref mut avail_words,
-            ..
-        } = *job;
-        for v in eligible.iter() {
-            let cal = calendars.get(fg.origin(v as u32).index());
-            let row = &mut avail_words[v * stride..(v + 1) * stride];
-            for (i, w) in cal.range_words(interval).enumerate() {
-                row[i] = w;
-            }
-            stats.prep_words_rebuilt += stride as u64;
+    // Only the post-peel eligible members get a row. Everyone else's row
+    // stays zero and is never read: the search, root vetting and subtree
+    // splitting all restrict themselves to `VA` members, which are
+    // exactly this set.
+    job.avail_words.clear();
+    job.avail_words.resize(fg.len() * stride, 0);
+    let PivotJob {
+        interval,
+        ref eligible,
+        ref mut avail_words,
+        ..
+    } = *job;
+    for v in eligible.iter() {
+        let cal = calendars.get(fg.origin(v as u32).index());
+        let row = &mut avail_words[v * stride..(v + 1) * stride];
+        for (i, w) in cal.range_words(interval).enumerate() {
+            row[i] = w;
         }
+        stats.prep_words_rebuilt += stride as u64;
     }
 
     // Lemma-5 counters: members are mostly available inside the interval
@@ -1453,12 +1191,6 @@ pub(crate) fn materialize_pivot<G: CandidateTopology>(
 /// requirement, so this is never looser. Returns `None` when no window
 /// has `p − 1` covering candidates — the pivot is infeasible outright.
 ///
-/// When the job carries a non-empty `floor_ok` mask (the
-/// acquaintance-aware restriction), candidates failing it are excluded
-/// from every window's cheapest-sum: they cannot belong to any feasible
-/// group at this pivot, so the floor is still a valid lower bound and
-/// dominates the compatibility-only floor (property-tested below).
-///
 /// Cost: `O(|q_run| · scan)` where each scan walks the distance-ascending
 /// order until `p − 1` covering candidates are found — on dense
 /// availabilities that is the first `p − 1` entries, and the whole
@@ -1473,7 +1205,6 @@ fn compat_dist_floor<G: CandidateTopology>(
 ) -> Option<Dist> {
     debug_assert!(p >= 2, "p = 1 never reaches pivot preparation");
     debug_assert!(job.q_run.len() >= m);
-    let acq_ok = (!job.floor_ok.is_empty()).then_some(job.floor_ok.as_slice());
     let mut best: Option<Dist> = None;
     for start in job.q_run.lo..=(job.q_run.hi + 1 - m) {
         let end = start + m - 1;
@@ -1482,9 +1213,6 @@ fn compat_dist_floor<G: CandidateTopology>(
         for &c in &job.order {
             if taken + 1 >= p {
                 break;
-            }
-            if acq_ok.is_some_and(|ok| !ok[c as usize]) {
-                continue;
             }
             // `runs` is `Some` exactly for pivot-eligible candidates, and
             // already clipped to the initiator's run.
@@ -2215,8 +1943,8 @@ mod tests {
     use super::*;
     use stgq_graph::GraphBuilder;
 
-    /// Both preparation phases back to back — what the solve loop does
-    /// for a pivot the incumbent bound does not retire.
+    /// All three preparation phases back to back — what the solve loop
+    /// does for a pivot the incumbent bound does not retire.
     fn prepare_full(
         fg: &FeasibleGraph,
         calendars: &[Calendar],
@@ -2226,10 +1954,8 @@ mod tests {
         arena: &mut PivotArena,
     ) -> Option<PivotJob> {
         let mut job = prepare_pivot(fg, calendars.into(), prep, pivot, stats, arena)?;
-        if finalize_pivot(fg, calendars.into(), prep, &mut job, stats, arena) {
-            if prep.materialize_on_touch {
-                materialize_pivot(fg, calendars.into(), prep, &mut job, stats);
-            }
+        if finalize_pivot(fg, prep, &mut job, stats, arena) {
+            materialize_pivot(fg, calendars.into(), &mut job, stats);
             Some(job)
         } else {
             arena.recycle(job);
@@ -2613,93 +2339,6 @@ mod tests {
     }
 
     #[test]
-    fn acq_floor_dominates_the_compat_only_floor_and_keeps_the_optimum() {
-        // Property test over random instances: on every prepared pivot
-        // the acquaintance-aware sharp floor is ≥ the compatibility-only
-        // sharp floor (it restricts the candidate sets further), a pivot
-        // it refuses outright really holds no feasible group (checked via
-        // the full solve below), and the end-to-end optimum is identical
-        // with the restriction on or off.
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
-        use stgq_graph::GraphBuilder;
-
-        for seed in 0..20u64 {
-            let mut rng = SmallRng::seed_from_u64(0xACC ^ seed);
-            let n = 12;
-            let horizon = rng.gen_range(10..60);
-            let m = rng.gen_range(2..=6).min(horizon);
-            let p = rng.gen_range(3..=5);
-            let k = rng.gen_range(0..p - 1); // p − 1 > k, so the threshold bites
-            let mut b = GraphBuilder::new(n);
-            for u in 0..n {
-                for v in (u + 1)..n {
-                    if rng.gen_bool(0.4) {
-                        b.add_edge(NodeId(u as u32), NodeId(v as u32), rng.gen_range(1..20))
-                            .unwrap();
-                    }
-                }
-            }
-            let g = b.build();
-            let calendars: Vec<Calendar> = (0..n)
-                .map(|_| Calendar::from_slots(horizon, (0..horizon).filter(|_| rng.gen_bool(0.7))))
-                .collect();
-            let fg = FeasibleGraph::extract(&g, NodeId(0), 2);
-
-            for pivot in stgq_schedule::pivot::pivot_slots(horizon, m) {
-                let mut stats = SearchStats::default();
-                let mut arena = PivotArena::new();
-                let compat_prep = PivotPrep {
-                    sharp_floor: true,
-                    ..PivotPrep::plain(p, m, horizon)
-                };
-                let compat =
-                    prepare_full(&fg, &calendars, &compat_prep, pivot, &mut stats, &mut arena);
-                let mut arena2 = PivotArena::new();
-                let acq_prep = PivotPrep {
-                    sharp_floor: true,
-                    acq_min_deg: Some(p - 1 - k),
-                    ..PivotPrep::plain(p, m, horizon)
-                };
-                let acq = prepare_full(&fg, &calendars, &acq_prep, pivot, &mut stats, &mut arena2);
-                match (compat, acq) {
-                    (None, None) => {}
-                    (Some(cj), Some(aj)) => assert!(
-                        aj.dist_bound >= cj.dist_bound,
-                        "seed {seed} pivot {pivot}: acq floor must dominate"
-                    ),
-                    // Refusing more pivots is the point; the solve-level
-                    // check below proves none of them held the optimum.
-                    (Some(_), None) => {}
-                    (None, Some(_)) => panic!(
-                        "seed {seed} pivot {pivot}: acq floor admitted a pivot compat refused"
-                    ),
-                }
-            }
-
-            // Exactness: the restriction prunes bounds, never solutions.
-            let query = StgqQuery::new(p, 2, k, m).unwrap();
-            let on = solve_stgq(&g, NodeId(0), &calendars, &query, &SelectConfig::default())
-                .unwrap()
-                .solution;
-            let off = solve_stgq(
-                &g,
-                NodeId(0),
-                &calendars,
-                &query,
-                &SelectConfig::default().with_acq_pivot_floor(false),
-            )
-            .unwrap()
-            .solution;
-            assert_eq!(
-                on.as_ref().map(|s| s.total_distance),
-                off.as_ref().map(|s| s.total_distance),
-                "seed {seed}: acq floor must not move the optimum"
-            );
-        }
-    }
-
-    #[test]
     fn pre_cancelled_solve_reports_cancelled_not_truncated() {
         use crate::{CancelToken, SolveControl};
         let (g, q, cals) = example3_inputs();
@@ -2767,19 +2406,24 @@ mod tests {
         assert!(!controlled.stats.cancelled);
     }
 
-    /// Delta-built preparation is **bit-identical** to from-scratch:
-    /// across random instances and randomly ordered pivot runs sharing
-    /// one arena (so the run cache is genuinely warm and genuinely
-    /// stale, both), the incremental path must produce the same
-    /// Definition-4 runs, eligible set, availability rows and Lemma-5
-    /// unavailability counters as the full rebuild — only the
-    /// `prep_words_delta` / `prep_words_rebuilt` accounting may differ.
+    /// The run-cache preparation is **bit-identical** to the scalar
+    /// reference preparation (`reference::prepare_pivot_reference`: a
+    /// per-slot Definition-4 scan and per-slot Lemma-5 counters, no
+    /// cache, no word tricks). Across random instances, one shuffled
+    /// pivot run per instance shares one arena — so the run cache is
+    /// genuinely warm, stale and partially covering — and every prepared
+    /// pivot must match the reference's runs, eligible set, availability
+    /// rows and Lemma-5 counters once the optimized engine's initiator
+    /// clip is mirrored on the reference side.
     #[test]
-    fn incremental_prep_is_bit_identical_to_rebuild() {
+    fn warm_run_cache_prep_matches_scalar_reference() {
+        use crate::reference::prepare_pivot_reference;
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
         use stgq_graph::GraphBuilder;
 
+        let mut compared = 0usize;
+        let mut delta_words = 0u64;
         for seed in 0..25u64 {
             let mut rng = SmallRng::seed_from_u64(0xDE17A ^ seed);
             let n = 12;
@@ -2805,114 +2449,88 @@ mod tests {
                 .collect();
             let fg = FeasibleGraph::extract(&g, NodeId(0), 2);
 
-            // One shuffled pivot run per instance, one persistent arena
-            // per path — exactly how a solve drives the cache.
+            // One shuffled pivot run per instance through one persistent
+            // arena — exactly how a solve drives the cache.
             let mut pivots: Vec<SlotId> = stgq_schedule::pivot::pivot_slots(horizon, m).collect();
             // Fisher–Yates (the vendored rand has no `seq` module).
             for i in (1..pivots.len()).rev() {
                 pivots.swap(i, rng.gen_range(0..=i));
             }
-            let mut arena_inc = PivotArena::new();
-            let mut arena_full = PivotArena::new();
-            arena_inc.begin_solve();
-            arena_full.begin_solve();
-            let mk = |incremental: bool| PivotPrep {
-                incremental,
+            let mut arena = PivotArena::new();
+            arena.begin_solve();
+            let prep = PivotPrep {
                 tie_blocks: Some(dist_tie_blocks(&fg)),
-                ..PivotPrep::plain(3, m, horizon)
+                ..PivotPrep::plain(2, m, horizon)
             };
-            let base = mk(false);
-            let inc_prep = mk(true);
-            let mut stats_inc = SearchStats::default();
-            let mut stats_full = SearchStats::default();
+            let mut stats = SearchStats::default();
             for &pivot in &pivots {
-                let inc = prepare_full(
-                    &fg,
-                    &calendars,
-                    &inc_prep,
-                    pivot,
-                    &mut stats_inc,
-                    &mut arena_inc,
-                );
-                let full = prepare_full(
-                    &fg,
-                    &calendars,
-                    &base,
-                    pivot,
-                    &mut stats_full,
-                    &mut arena_full,
-                );
-                match (inc, full) {
-                    (None, None) => {}
-                    (Some(a), Some(b)) => {
-                        assert_eq!(a.q_run, b.q_run, "seed {seed} pivot {pivot} q_run");
-                        assert_eq!(a.runs, b.runs, "seed {seed} pivot {pivot} runs");
-                        assert_eq!(a.eligible, b.eligible, "seed {seed} pivot {pivot} eligible");
-                        assert_eq!(a.order, b.order, "seed {seed} pivot {pivot} order");
-                        assert_eq!(
-                            a.dist_bound, b.dist_bound,
-                            "seed {seed} pivot {pivot} dist_bound"
-                        );
-                        assert_eq!(
-                            a.va.unavail, b.va.unavail,
-                            "seed {seed} pivot {pivot} Lemma-5 counters"
-                        );
-                        for v in a.eligible.iter() {
-                            assert_eq!(
-                                a.avail(v as u32),
-                                b.avail(v as u32),
-                                "seed {seed} pivot {pivot} avail row of {v}"
-                            );
-                        }
-                        arena_inc.recycle(a);
-                        arena_full.recycle(b);
+                let job = prepare_full(&fg, &calendars, &prep, pivot, &mut stats, &mut arena);
+                let mut ref_stats = SearchStats::default();
+                let reference =
+                    prepare_pivot_reference(&fg, &calendars, 2, m, pivot, horizon, &mut ref_stats);
+                let Some((ref_runs, ref_avail, ref_va, ref_q_run)) = reference else {
+                    assert!(
+                        job.is_none(),
+                        "seed {seed} pivot {pivot}: reference refused"
+                    );
+                    continue;
+                };
+                // The optimized engine clips every run to the initiator's
+                // and drops candidates whose clipped run is under m slots.
+                let clip = |v: usize| {
+                    ref_runs[v]
+                        .and_then(|r| r.intersect(&ref_q_run))
+                        .filter(|r| r.len() >= m)
+                };
+                let mut ref_eligible = BitSet::new(fg.len());
+                for v in ref_va.base.set.iter() {
+                    if clip(v).is_some() {
+                        ref_eligible.insert(v);
                     }
-                    (a, b) => panic!(
-                        "seed {seed} pivot {pivot}: paths disagree on preparability \
-                         (incremental {} vs rebuild {})",
-                        a.is_some(),
-                        b.is_some()
-                    ),
                 }
+                if ref_eligible.is_empty() {
+                    // p = 2: no surviving candidate ⇒ refused outright.
+                    assert!(job.is_none(), "seed {seed} pivot {pivot}: nobody survives");
+                    continue;
+                }
+                let job = job.expect("surviving candidates ⇒ prepared job");
+                assert_eq!(job.q_run, ref_q_run, "seed {seed} pivot {pivot} q_run");
+                assert_eq!(
+                    job.eligible, ref_eligible,
+                    "seed {seed} pivot {pivot} eligible"
+                );
+                for v in 1..fg.len() {
+                    assert_eq!(job.runs[v], clip(v), "seed {seed} pivot {pivot} run of {v}");
+                }
+                let ilen = job.interval.len();
+                let mut unavail = vec![0u32; ilen];
+                for v in ref_eligible.iter() {
+                    let row = BitSet::from_words(ilen, job.avail(v as u32).iter().copied());
+                    assert_eq!(
+                        row, ref_avail[v],
+                        "seed {seed} pivot {pivot} avail row of {v}"
+                    );
+                    for (off, c) in unavail.iter_mut().enumerate() {
+                        *c += u32::from(!ref_avail[v].contains(off));
+                    }
+                }
+                assert_eq!(
+                    job.va.unavail, unavail,
+                    "seed {seed} pivot {pivot} Lemma-5 counters"
+                );
+                assert_eq!(
+                    job.va.base.set, ref_eligible,
+                    "seed {seed} pivot {pivot} VA"
+                );
+                compared += 1;
+                arena.recycle(job);
             }
-            // Same instance, same pivots: whatever the accounting split,
-            // every non-prep counter must agree.
-            stats_inc.prep_words_delta = 0;
-            stats_inc.prep_words_rebuilt = 0;
-            stats_full.prep_words_delta = 0;
-            stats_full.prep_words_rebuilt = 0;
-            assert_eq!(stats_inc, stats_full, "seed {seed} counters");
+            delta_words += stats.prep_words_delta;
         }
-    }
-
-    /// First-frame-touch materialization changes no answer and no
-    /// search counter — the same availability bits are built, just
-    /// after the last pre-descent bound instead of inside finalization
-    /// — and it never rebuilds *more* words than the classic order.
-    #[test]
-    fn materialize_on_touch_is_bit_identical_and_no_costlier() {
-        let (g, q, cals) = example3_inputs();
-        let fg = FeasibleGraph::extract(&g, q, 1);
-        for (p, k, m) in [(4usize, 1usize, 3usize), (3, 1, 2), (2, 2, 4)] {
-            let query = StgqQuery::new(p, 1, k, m).unwrap();
-            let on = solve_stgq_on(&fg, &cals, &query, &SelectConfig::default());
-            let off = solve_stgq_on(
-                &fg,
-                &cals,
-                &query,
-                &SelectConfig::default().with_materialize_on_touch(false),
-            );
-            assert_eq!(on.solution, off.solution, "p={p} k={k} m={m}");
-            assert!(
-                on.stats.prep_words_rebuilt <= off.stats.prep_words_rebuilt,
-                "p={p} k={k} m={m}: deferral must never add word traffic"
-            );
-            let mut a = on.stats;
-            let mut b = off.stats;
-            a.prep_words_rebuilt = 0;
-            b.prep_words_rebuilt = 0;
-            assert_eq!(a, b, "p={p} k={k} m={m}: only the word accounting may move");
-        }
+        // The comparison must have exercised the warm cache, not just
+        // refusals and cold scans.
+        assert!(compared > 50, "only {compared} pivots compared");
+        assert!(delta_words > 0, "the run cache never answered a pivot");
     }
 
     /// The cross-solve run cache serves version-fresh Definition-4 runs

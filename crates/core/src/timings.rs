@@ -20,7 +20,8 @@
 //!   `prepare_ns + descend_ns` ≈ the loop's wall clock. Cheap enough to
 //!   leave on in production serving.
 //! * **detail** ([`PivotArena::timing_detail`]) — `prepare_pivot`,
-//!   `finalize_pivot` and the exact search are clocked individually
+//!   `finalize_pivot` + `materialize_pivot` and the exact search are
+//!   clocked individually
 //!   (isolated per-phase cost; loop overhead between calls is
 //!   unattributed). Three-plus clock reads per prepared pivot — perf
 //!   tooling only.
@@ -49,9 +50,10 @@ pub struct StageTimings {
     /// In coarse mode this includes `finalize_pivot`
     /// ([`finalize_ns`](Self::finalize_ns) is 0).
     pub prepare_ns: u64,
-    /// Nanoseconds in `finalize_pivot` (phase 2: peel, sharp floor, word
-    /// materialization, Lemma-5 counters). Only populated in detail
-    /// mode; coarse mode folds it into [`prepare_ns`](Self::prepare_ns).
+    /// Nanoseconds in `finalize_pivot` and `materialize_pivot` (phases 2
+    /// and 3: peel, sharp floor, word materialization, Lemma-5
+    /// counters). Only populated in detail mode; coarse mode folds it
+    /// into [`prepare_ns`](Self::prepare_ns).
     pub finalize_ns: u64,
     /// Nanoseconds in exact-search descent (frame expansion).
     pub descend_ns: u64,

@@ -156,10 +156,9 @@ pub fn sparse_fringe(days: usize, seed: u64) -> Dataset {
 /// runs are *long* (tens of slots), they overlap heavily across the
 /// population, and neighbouring pivots almost always land inside the
 /// same run — so an engine that recomputes each person's run from the
-/// calendar words at every pivot (`stgq_core`'s `incremental_prep`
-/// knob off) pays the
-/// full word scan `pivots × people` times, while the incremental run
-/// cache answers covered pivots by interval arithmetic and only
+/// calendar words at every pivot pays the full word scan
+/// `pivots × people` times, while `stgq_core`'s per-solve run cache
+/// answers covered pivots by interval arithmetic and only
 /// recomputes at hole boundaries. The archetype calendars of
 /// [`real_analog_194`] fragment availability into short blocks, which
 /// caps how much prep there is to amortize; this scenario is the

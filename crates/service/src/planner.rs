@@ -1125,7 +1125,7 @@ mod tests {
         assert!(!p.config().pivot_promise_order);
         p.set_config(SelectConfig::default());
         assert_eq!(p.config().seed_restarts, 2);
-        assert!(p.config().pool_pivot_buffers);
+        assert!(p.config().pivot_promise_order);
     }
 
     #[test]

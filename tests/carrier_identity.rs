@@ -59,22 +59,16 @@ fn config_grid() -> Vec<SelectConfig> {
     vec![
         SelectConfig::default(),
         SelectConfig::NO_SEARCH_REDUCTION,
-        SelectConfig::default().with_materialize_on_touch(false),
-        SelectConfig::default().with_incremental_prep(false),
-        SelectConfig::default().with_shared_pivot_prep(false),
         SelectConfig::default()
             .with_core_peel_fixpoint(false)
             .with_kplex_match_bound(false),
-        SelectConfig::default()
-            .with_sharp_pivot_floor(false)
-            .with_acq_pivot_floor(false),
+        SelectConfig::default().with_sharp_pivot_floor(false),
         SelectConfig::default()
             .with_parent_completion_bound(false)
             .with_pivot_promise_order(false),
         SelectConfig::default()
             .with_seed_restarts(0)
             .with_availability_ordering(false),
-        SelectConfig::default().with_pool_pivot_buffers(false),
     ]
 }
 

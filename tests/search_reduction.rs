@@ -12,7 +12,7 @@ use stgq::graph::FeasibleGraph;
 use stgq::prelude::*;
 use stgq::query::reference::{solve_sgq_reference, solve_stgq_reference};
 use stgq::query::validate::validate_stgq;
-use stgq::query::{solve_stgq_on, solve_stgq_parallel, solve_stgq_pooled, PivotArena};
+use stgq::query::{solve_stgq_parallel, solve_stgq_pooled, PivotArena};
 
 fn arb_graph(max_n: usize) -> impl Strategy<Value = SocialGraph> {
     (3usize..=max_n).prop_flat_map(|n| {
@@ -50,9 +50,8 @@ fn arb_calendars(n: usize, horizon: usize) -> impl Strategy<Value = Vec<Calendar
     })
 }
 
-/// Every on/off combination of the four semantically visible
-/// search-reduction pieces (pooling is allocation-only and is covered by
-/// the bit-identical test below).
+/// Every on/off combination of the four search-reduction pieces (arena
+/// pooling is covered by the bit-identical test below).
 fn reduction_grid() -> Vec<SelectConfig> {
     let mut grid = Vec::new();
     for seed in [0usize, 2] {
@@ -73,36 +72,32 @@ fn reduction_grid() -> Vec<SelectConfig> {
     grid
 }
 
-/// Every combination of the candidate-space reduction layer's three
-/// knobs (fixpoint core peel, k-plex matching bound, shared pivot
-/// prep), everything else at defaults.
+/// Every combination of the candidate-space reduction layer's two
+/// knobs (fixpoint core peel, k-plex matching bound), everything else
+/// at defaults.
 fn candidate_reduction_grid() -> Vec<SelectConfig> {
     let mut grid = Vec::new();
     for peel in [false, true] {
         for matching in [false, true] {
-            for prep in [false, true] {
-                grid.push(
-                    SelectConfig::default()
-                        .with_core_peel_fixpoint(peel)
-                        .with_kplex_match_bound(matching)
-                        .with_shared_pivot_prep(prep),
-                );
-            }
+            grid.push(
+                SelectConfig::default()
+                    .with_core_peel_fixpoint(peel)
+                    .with_kplex_match_bound(matching),
+            );
         }
     }
     grid
 }
 
-/// Every combination of the temporal-prep / descent knobs added by the
-/// incremental-prep release: the per-solve run cache and the
-/// parent-side completion bound, everything else at defaults.
+/// The parent-side completion bound on and off, with and without the
+/// fixpoint peel in front of it, everything else at defaults.
 fn prep_descent_grid() -> Vec<SelectConfig> {
     let mut grid = Vec::new();
-    for iprep in [false, true] {
+    for peel in [false, true] {
         for pbound in [false, true] {
             grid.push(
                 SelectConfig::default()
-                    .with_incremental_prep(iprep)
+                    .with_core_peel_fixpoint(peel)
                     .with_parent_completion_bound(pbound),
             );
         }
@@ -142,11 +137,11 @@ proptest! {
         }
     }
 
-    /// Sequential STGSelect with every combination of the three
+    /// Sequential STGSelect with every combination of the two
     /// candidate-reduction knobs returns the reference optimum —
-    /// peeling never removes a member of any optimal group, the
+    /// peeling never removes a member of any optimal group, and the
     /// matching bound never prunes a frame that leads to an improving
-    /// solution, and shared prep changes nothing at all.
+    /// solution.
     #[test]
     fn candidate_reduction_grid_stgq_matches_reference(
         (g, cals) in arb_graph(11).prop_flat_map(|g| {
@@ -195,11 +190,10 @@ proptest! {
         }
     }
 
-    /// Sequential STGSelect with every combination of the incremental
-    /// run cache and the parent-side completion bound returns the
-    /// reference optimum — delta-built availability buffers change
-    /// nothing semantically, and the parent bound never prunes a child
-    /// whose subtree holds a strictly better group.
+    /// Sequential STGSelect with the parent-side completion bound on or
+    /// off, with and without the peel in front of it, returns the
+    /// reference optimum — the parent bound never prunes a child whose
+    /// subtree holds a strictly better group.
     #[test]
     fn prep_descent_grid_stgq_matches_reference(
         (g, cals) in arb_graph(11).prop_flat_map(|g| {
@@ -228,8 +222,7 @@ proptest! {
     }
 
     /// The same grid on the SGQ engine (the parent bound fires on the
-    /// SGSelect expand path too; the run cache is temporal-only but must
-    /// stay inert there).
+    /// SGSelect expand path too).
     #[test]
     fn prep_descent_grid_sgq_matches_reference(
         g in arb_graph(12),
@@ -246,32 +239,6 @@ proptest! {
                 reference.solution.as_ref().map(|x| x.total_distance),
                 "cfg {:?}", cfg
             );
-        }
-    }
-
-    /// Shared pivot preprocessing is caching only: outcomes **and
-    /// stats** are bit-identical with the memo on or off, across a
-    /// query stream re-using one arena (the planner's usage pattern).
-    #[test]
-    fn shared_prep_is_bit_identical(
-        (g, cals) in arb_graph(10).prop_flat_map(|g| {
-            let n = g.node_count();
-            arb_calendars(n, 20).prop_map(move |cals| (g.clone(), cals))
-        }),
-        k in 0usize..3,
-    ) {
-        let q = NodeId(0);
-        let mut arena_on = PivotArena::new();
-        let mut arena_off = PivotArena::new();
-        let on_cfg = SelectConfig::default();
-        let off_cfg = SelectConfig::default().with_shared_pivot_prep(false);
-        for (p, m) in [(4usize, 3usize), (3, 1), (5, 4), (4, 2)] {
-            let query = StgqQuery::new(p, 2, k, m).unwrap();
-            let fg = FeasibleGraph::extract(&g, q, query.s());
-            let shared = solve_stgq_pooled(&fg, &cals, &query, &on_cfg, &mut arena_on);
-            let fresh = solve_stgq_pooled(&fg, &cals, &query, &off_cfg, &mut arena_off);
-            prop_assert_eq!(shared.solution, fresh.solution, "p {} m {}", p, m);
-            prop_assert_eq!(shared.stats, fresh.stats, "p {} m {}", p, m);
         }
     }
 
@@ -362,8 +329,9 @@ proptest! {
         prop_assert_eq!(objectives[0], objectives[2], "1 vs 4 threads");
     }
 
-    /// One arena serving a whole stream of queries returns bit-identical
-    /// outcomes to fresh-buffer solves — pooling is allocation-only.
+    /// One long-lived arena serving a whole stream of queries returns
+    /// bit-identical outcomes to a fresh arena per query — recycled
+    /// buffers and per-solve caches never leak between queries.
     #[test]
     fn pooled_solves_are_bit_identical_across_a_query_stream(
         (g, cals) in arb_graph(10).prop_flat_map(|g| {
@@ -374,14 +342,14 @@ proptest! {
     ) {
         let q = NodeId(0);
         let mut arena = PivotArena::new();
-        let unpooled_cfg = SelectConfig::default().with_pool_pivot_buffers(false);
+        let cfg = SelectConfig::default();
         // Varying (p, m) across the stream forces the arena to re-size its
         // buffers between queries, like a live planner would.
         for (p, m) in [(2usize, 3usize), (4, 1), (3, 4), (2, 2)] {
             let query = StgqQuery::new(p, 2, k, m).unwrap();
             let fg = FeasibleGraph::extract(&g, q, query.s());
-            let pooled = solve_stgq_pooled(&fg, &cals, &query, &SelectConfig::default(), &mut arena);
-            let fresh = solve_stgq_on(&fg, &cals, &query, &unpooled_cfg);
+            let pooled = solve_stgq_pooled(&fg, &cals, &query, &cfg, &mut arena);
+            let fresh = solve_stgq_pooled(&fg, &cals, &query, &cfg, &mut PivotArena::new());
             prop_assert_eq!(pooled.solution, fresh.solution, "p {} m {}", p, m);
             prop_assert_eq!(pooled.stats, fresh.stats, "p {} m {}", p, m);
         }
