@@ -68,7 +68,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use stgq_exec::{ExecConfig, ExecError, PlanOutcome};
+use stgq_exec::{ExecConfig, ExecError, ExecObs, PlanOutcome};
 use stgq_graph::NodeId;
 use stgq_schedule::{Calendar, SlotRange};
 use stgq_service::{BatchQuery, Planner, ServiceError};
@@ -421,12 +421,13 @@ impl ClusterObs {
                 text.counter(name, help, &labels, value);
             }
         }
-        render_histograms(&mut text, "stgq", &self.merged, &[]);
+        render_histograms(&mut text, "stgq", ExecObs::HISTOGRAMS, &self.merged, &[]);
         for (node, obs) in &self.per_node {
             let node = node.to_string();
             render_histograms(
                 &mut text,
                 "stgq_node",
+                ExecObs::HISTOGRAMS,
                 &obs.histograms,
                 &[("node", node.as_str())],
             );
@@ -436,7 +437,7 @@ impl ClusterObs {
             .iter()
             .map(|(name, snap)| (name.to_string(), *snap))
             .collect();
-        render_histograms(&mut text, "stgq", &rpc, &[]);
+        render_histograms(&mut text, "stgq", RpcObs::HISTOGRAMS, &rpc, &[]);
         text.finish()
     }
 }

@@ -22,7 +22,7 @@
 //!
 //! * **Shard routing** ([`ShardRouter`]). The executor already
 //!   partitions all work by initiator shard (`initiator mod shards` —
-//!   batch grouping, feasible-graph cache, result cache). The router
+//!   batch grouping, feasible-view cache, result cache). The router
 //!   lifts that same partition across machines: every shard is owned by
 //!   one node, a batch is **scattered** into per-node sub-batches
 //!   (submission order preserved within a node, which within-batch
@@ -115,7 +115,7 @@ pub use message::{
     Epoch, NodeMsg, NodeObs, NodeReply, NodeStatus, ReplicationPayload, WireRequest,
 };
 pub use node::ClusterNode;
-pub use obs::{RpcObs, CLUSTER_RPC_HISTOGRAMS};
+pub use obs::RpcObs;
 pub use replication::{Replicator, SyncError};
 pub use retry::{MsgClass, RetryPolicy};
 pub use router::{RouterError, ShardRouter};

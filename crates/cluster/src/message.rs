@@ -122,10 +122,10 @@ pub struct NodeStatus {
 }
 
 /// One node's deep observability report ([`NodeMsg::Metrics`]): its
-/// status plus its executor's named latency histograms
-/// ([`stgq_exec::EXEC_HISTOGRAMS`]). Histograms cross the wire as plain
-/// bucket arrays, so the cluster can merge them fleet-wide — log₂
-/// histograms merge exactly by element-wise addition.
+/// status plus its executor's named latency histograms (the rows of
+/// [`ExecObs::HISTOGRAMS`](stgq_exec::ExecObs::HISTOGRAMS)). Histograms
+/// cross the wire as plain bucket arrays, so the cluster can merge them
+/// fleet-wide — log₂ histograms merge exactly by element-wise addition.
 #[derive(Clone, Debug, PartialEq)]
 pub struct NodeObs {
     /// The node's serving status (same report as [`NodeMsg::Status`]).

@@ -6,7 +6,7 @@
 //! [`CalendarStore`], the same types the writer's planner owns) and
 //! republishes its executor's immutable [`WorldSnapshot`] under the
 //! **writer's** version stamps. Everything the single-process executor
-//! does per node — shard-partitioned feasible-graph cache, result cache,
+//! does per node — shard-partitioned feasible-view cache, result cache,
 //! worker pool, epoch-swapped snapshots — works unchanged; the cluster
 //! layer only decides *which* node answers *which* initiator shard.
 

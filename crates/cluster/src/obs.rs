@@ -9,46 +9,32 @@
 //! status/observability probes), lock-free and mergeable like every
 //! other histogram in the pipeline.
 
-use stgq_obs::{Histogram, HistogramSnapshot};
+use stgq_obs::Histogram;
 
 use crate::retry::MsgClass;
 
-/// The RPC histogram names, in exposition order (matching
-/// [`RpcObs::histograms`]).
-pub const CLUSTER_RPC_HISTOGRAMS: [&str; 3] = ["rpc_replication", "rpc_execute", "rpc_status"];
-
-/// Per-message-class RPC round-trip histograms (retry backoff
-/// included). Owned by the [`Cluster`](crate::Cluster) and shared with
-/// its [`Replicator`](crate::Replicator), so both planes record into
-/// the same spectrum.
-#[derive(Debug, Default)]
-pub struct RpcObs {
-    /// Writer → replica replication sends.
-    pub replication: Histogram,
-    /// Router → node scatter/gather sends.
-    pub execute: Histogram,
-    /// Heartbeat / status / metrics probes.
-    pub status: Histogram,
+stgq_obs::histogram_table! {
+    /// Per-message-class RPC round-trip histograms (retry backoff
+    /// included), one row of [`RpcObs::HISTOGRAMS`] each. Owned by the
+    /// [`Cluster`](crate::Cluster) and shared with its
+    /// [`Replicator`](crate::Replicator), so both planes record into the
+    /// same spectrum.
+    #[derive(Debug, Default)]
+    pub struct RpcObs {
+        rpc_replication: "Cluster replication RPC round-trip in ns, whole retry loop incl. backoff.",
+        rpc_execute: "Cluster execute (scatter) RPC round-trip in ns, whole retry loop incl. backoff.",
+        rpc_status: "Cluster status/metrics probe round-trip in ns, whole retry loop incl. backoff.",
+    }
 }
 
 impl RpcObs {
     /// The histogram recording `class`'s round-trips.
     pub fn for_class(&self, class: MsgClass) -> &Histogram {
         match class {
-            MsgClass::Replication => &self.replication,
-            MsgClass::Execute => &self.execute,
-            MsgClass::Status => &self.status,
+            MsgClass::Replication => &self.rpc_replication,
+            MsgClass::Execute => &self.rpc_execute,
+            MsgClass::Status => &self.rpc_status,
         }
-    }
-
-    /// Named snapshots of all three class histograms, in
-    /// [`CLUSTER_RPC_HISTOGRAMS`] order.
-    pub fn histograms(&self) -> Vec<(&'static str, HistogramSnapshot)> {
-        vec![
-            ("rpc_replication", self.replication.snapshot()),
-            ("rpc_execute", self.execute.snapshot()),
-            ("rpc_status", self.status.snapshot()),
-        ]
     }
 }
 
@@ -69,7 +55,10 @@ mod tests {
         let hists = rpc.histograms();
         assert_eq!(
             hists.iter().map(|(n, _)| *n).collect::<Vec<_>>(),
-            CLUSTER_RPC_HISTOGRAMS.to_vec()
+            RpcObs::HISTOGRAMS
+                .iter()
+                .map(|r| r.name)
+                .collect::<Vec<_>>()
         );
         assert_eq!(hists[0].1.count, 0, "replication untouched");
         assert_eq!(hists[1].1.count, 2);

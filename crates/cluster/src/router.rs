@@ -1,7 +1,7 @@
 //! The shard router: which node answers which initiator shard.
 //!
 //! The executor already partitions everything by **initiator shard**
-//! (`initiator mod shards` — the feasible-graph cache, the batch
+//! (`initiator mod shards` — the feasible-view cache, the batch
 //! scheduler's job grouping, the result cache). The router lifts exactly
 //! that partition across nodes: a shard map assigns every shard to one
 //! node, a scatter groups a batch's entries by assigned node, and the

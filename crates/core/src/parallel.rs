@@ -77,19 +77,24 @@ enum RootTask {
     Pair(usize, usize),
 }
 
-/// Resolve a thread-count request: `0` means "all available parallelism".
+/// Resolve a thread-count request: `0` means "all available
+/// parallelism", and any other request is clamped to it. The count
+/// arrives from the wire and the command line, and every unit of it is
+/// one OS thread spawned for one query, so it must not be trusted.
 fn effective_threads(requested: usize) -> usize {
-    if requested > 0 {
-        requested
+    let available = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
+    if requested == 0 {
+        available
     } else {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
+        requested.min(available)
     }
 }
 
 /// Parallel SGSelect: identical optimum to [`crate::solve_sgq`], searched
-/// by `threads` workers (`0` = all available cores).
+/// by `threads` workers (`0` = all available cores; more are clamped
+/// to that).
 pub fn solve_sgq_parallel(
     graph: &SocialGraph,
     initiator: NodeId,
@@ -296,7 +301,8 @@ pub fn solve_sgq_parallel_controlled_on<G: CandidateTopology>(
 }
 
 /// Parallel STGSelect: identical optimum to [`crate::solve_stgq`], with
-/// pivot time slots distributed over `threads` workers (`0` = all cores).
+/// pivot time slots distributed over `threads` workers (`0` = all cores;
+/// more are clamped to that).
 pub fn solve_stgq_parallel(
     graph: &SocialGraph,
     initiator: NodeId,
@@ -601,6 +607,18 @@ pub fn solve_stgq_parallel_controlled_on<'a, G: CandidateTopology>(
 mod tests {
     use super::*;
     use crate::{solve_sgq, solve_stgq};
+
+    #[test]
+    fn thread_requests_are_clamped_to_available_parallelism() {
+        // Resolves the count only; nothing is spawned.
+        let available = std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1);
+        assert!(effective_threads(usize::MAX) <= available);
+        assert_eq!(effective_threads(usize::MAX), available);
+        assert_eq!(effective_threads(0), available);
+        assert_eq!(effective_threads(1), 1);
+    }
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
     use stgq_graph::GraphBuilder;

@@ -24,7 +24,8 @@ pub enum Engine {
     /// frame path), so intra-query parallelism honours `SolveControl`
     /// exactly like `Exact` does.
     ExactParallel {
-        /// Worker count; `0` means all available parallelism.
+        /// Worker count; `0` means all available parallelism, and larger
+        /// requests are clamped to it.
         threads: usize,
     },
     /// Budgeted SGSelect / STGSelect: returns the incumbent after at most

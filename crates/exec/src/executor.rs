@@ -15,7 +15,7 @@ use crate::obs::ExecObs;
 use crate::queue::{JobQueue, Ticket, TicketSlot};
 use crate::request::{ExecError, PlanOutcome, PlanRequest};
 use crate::snapshot::{SnapshotCell, WorldSnapshot};
-use crate::worker::{run_entry, run_job, ExecShared, Job, Pending, WorkerPool};
+use crate::worker::{run_contained, run_job, ExecShared, Job, Pending, WorkerPool};
 
 /// Construction-time knobs for an [`Executor`].
 #[derive(Clone, Copy, Debug)]
@@ -103,6 +103,8 @@ impl Executor {
             counters: ExecCounters::default(),
             obs: ExecObs::new(cfg.trace_ring, cfg.slow_log, cfg.slow_query_threshold),
             jobs: JobQueue::new(),
+            #[cfg(test)]
+            panic_on: std::sync::atomic::AtomicU32::new(u32::MAX),
         });
         let pool = WorkerPool::spawn(&shared, workers);
         Executor {
@@ -301,7 +303,7 @@ impl Executor {
         let snapshot = self.snapshot.current().ok_or(ExecError::NoSnapshot)?;
         let select = *self.select.lock();
         let mut arena = std::mem::take(&mut *self.inline_arena.lock());
-        let result = run_entry(&self.shared, &mut arena, &snapshot, &select, &request, 0);
+        let result = run_contained(&self.shared, &mut arena, &snapshot, &select, &request, 0);
         *self.inline_arena.lock() = arena;
         result
     }
@@ -332,43 +334,23 @@ impl Executor {
         &self.shared.obs
     }
 
-    /// Point-in-time counters.
+    /// Point-in-time counters: the live rows load from the atomic twin,
+    /// the sampled rows read the two caches and the pool sizing.
     pub fn metrics(&self) -> ExecMetrics {
-        let c = &self.shared.counters;
         let f = self.shared.feasible.stats();
         let r = self.shared.results.stats();
         ExecMetrics {
-            queries: c.queries.load(Ordering::Relaxed),
-            shard_jobs: c.shard_jobs.load(Ordering::Relaxed),
-            batched_entries: c.batched_entries.load(Ordering::Relaxed),
-            collapsed_entries: c.collapsed_entries.load(Ordering::Relaxed),
-            cancelled: c.cancelled.load(Ordering::Relaxed),
             feasible_cache_hits: f.hits,
             feasible_cache_misses: f.misses,
-            cached_feasible_graphs: f.len,
+            cached_feasible_graphs: f.len as u64,
             result_cache_hits: r.hits,
             result_cache_misses: r.misses,
-            cached_results: r.len,
+            cached_results: r.len as u64,
             result_cache_evicted_stale_shard: r.evicted_stale,
             result_cache_evicted_capacity: r.evicted_capacity,
-            snapshot_publishes: c.snapshot_publishes.load(Ordering::Relaxed),
-            snapshot_shards_rebuilt: c.snapshot_shards_rebuilt.load(Ordering::Relaxed),
-            snapshot_shards_reused: c.snapshot_shards_reused.load(Ordering::Relaxed),
-            frames_examined: c.frames_examined.load(Ordering::Relaxed),
-            frames_pruned_by_bound: c.frames_pruned_by_bound.load(Ordering::Relaxed),
-            pivots_skipped: c.pivots_skipped.load(Ordering::Relaxed),
-            peeled_candidates: c.peeled_candidates.load(Ordering::Relaxed),
-            pivots_refused_by_core: c.pivots_refused_by_core.load(Ordering::Relaxed),
-            frames_pruned_by_match: c.frames_pruned_by_match.load(Ordering::Relaxed),
-            children_pruned_by_parent_bound: c
-                .children_pruned_by_parent_bound
-                .load(Ordering::Relaxed),
-            prep_words_delta: c.prep_words_delta.load(Ordering::Relaxed),
-            prep_words_rebuilt: c.prep_words_rebuilt.load(Ordering::Relaxed),
-            run_cache_cross_solve_hits: c.run_cache_cross_solve_hits.load(Ordering::Relaxed),
-            extract_words_borrowed: c.extract_words_borrowed.load(Ordering::Relaxed),
-            workers: self.workers,
-            shards: self.shards,
+            workers: self.workers as u64,
+            shards: self.shards as u64,
+            ..self.shared.counters.load()
         }
     }
 }
@@ -758,6 +740,63 @@ mod tests {
         assert!(t1.wait().is_ok());
         assert!(t2.wait().is_ok());
         assert!(exec.metrics().shard_jobs >= 1);
+    }
+
+    #[test]
+    fn a_panicking_solve_is_contained_to_its_own_ticket() {
+        let sgq = SgqQuery::new(3, 1, 0).unwrap();
+        let stgq = StgqQuery::new(3, 1, 0, 3).unwrap();
+        let mut reqs: Vec<PlanRequest> = (0..5)
+            .map(|v| PlanRequest::new(NodeId(v), QuerySpec::Sgq(sgq), Engine::Exact))
+            .collect();
+        for v in [0, 2, 3] {
+            reqs.push(PlanRequest::new(
+                NodeId(v),
+                QuerySpec::Stgq(stgq),
+                Engine::Exact,
+            ));
+        }
+        let answers = |results: &[Result<PlanOutcome, ExecError>]| -> Vec<_> {
+            results
+                .iter()
+                .map(|r| r.as_ref().map(|o| (o.outcome.objective(), o.exact)).ok())
+                .collect()
+        };
+        let clean = executor(1);
+        let expected = answers(&clean.execute_batch(reqs.clone()));
+
+        let exec = executor(2);
+        exec.shared.panic_on.store(1, Ordering::Relaxed);
+        let results = exec.execute_batch(reqs.clone());
+        for (i, (got, want)) in answers(&results).iter().zip(&expected).enumerate() {
+            if reqs[i].initiator == NodeId(1) {
+                assert!(
+                    matches!(&results[i], Err(ExecError::Internal { message }) if message.contains("test-triggered")),
+                    "{:?}",
+                    results[i]
+                );
+            } else {
+                assert_eq!(
+                    got, want,
+                    "request {i} answered despite its neighbour's panic"
+                );
+            }
+        }
+        assert_eq!(exec.metrics().worker_panics, 1);
+
+        // The pool keeps serving: the next batch answers everything.
+        exec.shared.panic_on.store(u32::MAX, Ordering::Relaxed);
+        assert_eq!(answers(&exec.execute_batch(reqs.clone())), expected);
+        // The inline path has the same boundary (a query not yet in the
+        // result cache, so it reaches the solve).
+        exec.shared.panic_on.store(1, Ordering::Relaxed);
+        let fresh = PlanRequest::new(NodeId(1), QuerySpec::Stgq(stgq), Engine::Exact);
+        assert!(matches!(
+            exec.execute_one(fresh),
+            Err(ExecError::Internal { .. })
+        ));
+        assert_eq!(exec.metrics().worker_panics, 2);
+        assert_eq!(clean.metrics().worker_panics, 0);
     }
 
     #[test]

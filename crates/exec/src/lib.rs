@@ -84,7 +84,7 @@ mod worker;
 pub use engine::Engine;
 pub use executor::{ExecConfig, Executor};
 pub use metrics::ExecMetrics;
-pub use obs::{ExecObs, EXEC_HISTOGRAMS};
+pub use obs::ExecObs;
 pub use queue::Ticket;
 pub use request::{ExecError, PlanOutcome, PlanRequest, QuerySpec};
 pub use snapshot::WorldSnapshot;

@@ -18,7 +18,7 @@ pub enum QuerySpec {
 
 impl QuerySpec {
     /// The social radius `s` (shared by both query kinds; it keys the
-    /// feasible-graph cache together with the initiator).
+    /// feasible-view cache together with the initiator).
     pub fn s(&self) -> usize {
         match self {
             QuerySpec::Sgq(q) => q.s(),
@@ -161,6 +161,12 @@ pub enum ExecError {
     },
     /// The executor is shutting down and no longer accepts work.
     ShuttingDown,
+    /// The solve panicked. The panic was contained to this request: the
+    /// worker kept serving and counted it in `worker_panics`.
+    Internal {
+        /// The panic message.
+        message: String,
+    },
 }
 
 impl std::fmt::Display for ExecError {
@@ -183,6 +189,9 @@ impl std::fmt::Display for ExecError {
                 "published epoch {available:?} is older than the required minimum {required:?}"
             ),
             ExecError::ShuttingDown => write!(f, "executor is shutting down"),
+            ExecError::Internal { message } => {
+                write!(f, "internal error: solve panicked: {message}")
+            }
         }
     }
 }

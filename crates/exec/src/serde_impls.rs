@@ -183,6 +183,10 @@ impl Serialize for ExecError {
                 ]),
             )]),
             ExecError::ShuttingDown => Value::Str("shutting_down".to_string()),
+            ExecError::Internal { message } => Value::Object(vec![(
+                "internal".to_string(),
+                Value::Object(vec![("message".to_string(), message.to_value())]),
+            )]),
         }
     }
 }
@@ -217,6 +221,9 @@ impl Deserialize for ExecError {
             "epoch_too_old" => Ok(ExecError::EpochTooOld {
                 required: <(u64, u64)>::from_value(need("required")?)?,
                 available: <(u64, u64)>::from_value(need("available")?)?,
+            }),
+            "internal" => Ok(ExecError::Internal {
+                message: String::from_value(need("message")?)?,
             }),
             other => Err(DeError::new(format!("unknown ExecError `{other}`"))),
         }
@@ -282,6 +289,9 @@ mod tests {
             ExecError::EpochTooOld {
                 required: (4, 7),
                 available: (4, 6),
+            },
+            ExecError::Internal {
+                message: "index out of bounds: \"x\"".to_string(),
             },
         ] {
             let back: ExecError =

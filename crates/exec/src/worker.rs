@@ -1,5 +1,6 @@
 //! The fixed worker pool and per-entry execution.
 
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -45,6 +46,10 @@ pub(crate) struct ExecShared {
     pub(crate) counters: ExecCounters,
     pub(crate) obs: ExecObs,
     pub(crate) jobs: JobQueue<Job>,
+    /// Initiator whose solve panics on purpose (`u32::MAX`: none) — the
+    /// trigger of the unwind-boundary tests.
+    #[cfg(test)]
+    pub(crate) panic_on: std::sync::atomic::AtomicU32,
 }
 
 /// Nanoseconds of a duration, saturating at `u64::MAX`.
@@ -97,7 +102,7 @@ pub(crate) fn run_job(shared: &ExecShared, arena: &mut PivotArena, job: Job) {
                 continue;
             }
         }
-        let result = run_entry(
+        let result = run_contained(
             shared,
             arena,
             &job.snapshot,
@@ -112,6 +117,36 @@ pub(crate) fn run_job(shared: &ExecShared, arena: &mut PivotArena, job: Job) {
         }
         entry.ticket.fulfill(result);
     }
+}
+
+/// [`run_entry`] behind an unwind boundary: a panicking solve answers
+/// its own request with [`ExecError::Internal`], counts one
+/// `worker_panics`, and leaves the calling thread a fresh
+/// [`PivotArena`] (the old one may hold a half-built pivot). The shared
+/// caches only ever receive finished entries, and the engine holds no
+/// lock while it searches, so nothing else needs repair.
+pub(crate) fn run_contained(
+    shared: &ExecShared,
+    arena: &mut PivotArena,
+    snapshot: &WorldSnapshot,
+    select: &SelectConfig,
+    request: &PlanRequest,
+    queue_wait_ns: u64,
+) -> Result<PlanOutcome, ExecError> {
+    let run = || run_entry(shared, arena, snapshot, select, request, queue_wait_ns);
+    panic::catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|payload| {
+        *arena = PivotArena::new();
+        shared
+            .counters
+            .worker_panics
+            .fetch_add(1, Ordering::Relaxed);
+        let message = payload
+            .downcast_ref::<&str>()
+            .map(|m| m.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "solve panicked".to_string());
+        Err(ExecError::Internal { message })
+    })
 }
 
 /// Solve one request against one snapshot epoch. `queue_wait_ns` is the
@@ -220,6 +255,10 @@ pub(crate) fn run_entry(
     // shards are provably unmoved (equal shard version ⇒ identical
     // shard content — the same invariant the stamped caches rely on).
     arena.install_world_versions(snapshot.calendar_shard_versions());
+    #[cfg(test)]
+    if request.initiator.0 == shared.panic_on.load(Ordering::Relaxed) {
+        panic!("test-triggered solve panic");
+    }
     let start = Instant::now();
     let (outcome, evaluations) = run_spec(
         view.as_ref(),
@@ -233,7 +272,7 @@ pub(crate) fn run_entry(
     let elapsed = start.elapsed();
     let timings = arena.timings;
 
-    shared.counters.note_search(outcome.stats());
+    shared.counters.fold(outcome.stats());
     let stop = outcome.stop_cause();
     shared.counters.note_stop(stop);
     // Consistency by construction: heuristics never claim exactness, and
@@ -272,8 +311,7 @@ pub(crate) fn run_entry(
         obs.descend.record_ns(timings.descend_ns);
     }
     if obs.recorder.enabled() {
-        let stats = plan_outcome.outcome.stats();
-        obs.recorder.record(QueryTrace {
+        let mut trace = QueryTrace {
             initiator: request.initiator.0,
             query: query_label(&request.spec, request.engine),
             stages: StageBreakdown {
@@ -289,15 +327,10 @@ pub(crate) fn run_entry(
             stop: stop_label(stop),
             exact: plan_outcome.exact,
             feasible_cache_hit,
-            frames: stats.frames_examined(),
-            frames_pruned_by_bound: stats.frames_pruned_by_bound(),
-            frames_pruned_by_match: stats.frames_pruned_by_match,
-            pivots_processed: stats.pivots_processed,
-            pivots_skipped: stats.pivots_skipped,
-            peeled_candidates: stats.peeled_candidates,
-            prep_words_delta: stats.prep_words_delta,
-            prep_words_rebuilt: stats.prep_words_rebuilt,
-        });
+            ..QueryTrace::default()
+        };
+        plan_outcome.outcome.stats().feed(&mut trace);
+        obs.recorder.record(trace);
     }
     Ok(plan_outcome)
 }

@@ -19,7 +19,7 @@
 //!   always lies within the returned `[lo, hi]` (a factor-of-two band by
 //!   construction).
 //! * [`QueryTrace`] / [`FlightRecorder`] — each solve emits a trace of
-//!   stage spans (queue wait → feasible-graph extraction → prepare →
+//!   stage spans (queue wait → feasible-view extraction → prepare →
 //!   finalize → descend) plus the pruning/cache counters it touched; a
 //!   bounded ring buffer keeps the most recent traces and a slowest-N
 //!   slow-query log keeps the worst offenders over a configurable
@@ -27,6 +27,10 @@
 //! * [`prom`] — a Prometheus-text-format renderer ([`prom::PromText`])
 //!   and parser ([`prom::PromReport`]), so the exposition round-trips in
 //!   tests and CI instead of being write-only.
+//! * [`counter_table!`] / [`histogram_table!`] — the one declaration of
+//!   every counter, gauge and histogram in the stack (see [`table`]):
+//!   each layer lists its rows once, and the fields, merges, atomic
+//!   twins, exposition, trace JSON and CLI report are derived from them.
 //!
 //! The crate has **zero dependencies** (the same offline constraint as
 //! `crates/compat`): everything is `std`.
@@ -36,7 +40,9 @@
 
 mod histogram;
 pub mod prom;
+pub mod table;
 mod trace;
 
 pub use histogram::{bucket_bounds, bucket_index, Histogram, HistogramSnapshot, BUCKETS};
+pub use table::{histogram_help, CounterTable, HistogramRow, Kind, Row};
 pub use trace::{FlightRecorder, QueryTrace, StageBreakdown};

@@ -11,6 +11,7 @@
 use std::collections::HashSet;
 
 use crate::histogram::{bucket_bounds, HistogramSnapshot};
+use crate::table::{CounterTable, Kind};
 
 /// Streaming renderer for the Prometheus text format.
 ///
@@ -90,6 +91,18 @@ impl PromText {
     pub fn gauge(&mut self, name: &str, help: &str, labels: &[(&str, &str)], value: f64) {
         self.declare(name, "gauge", help);
         self.sample(name, labels, value);
+    }
+
+    /// Emit every row of a counter table as a `<prefix>_<row>` counter or
+    /// gauge family, with `labels` on each sample.
+    pub fn table<T: CounterTable>(&mut self, prefix: &str, table: &T, labels: &[(&str, &str)]) {
+        table.for_each_row(|row, value| {
+            let name = format!("{prefix}_{}", row.name);
+            match row.kind {
+                Kind::Counter => self.counter(&name, row.help, labels, value),
+                Kind::Gauge => self.gauge(&name, row.help, labels, value as f64),
+            }
+        });
     }
 
     /// Emit one histogram family: cumulative `le` buckets up to the

@@ -11,6 +11,8 @@
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
+use crate::CounterTable;
+
 /// Where one query's wall clock went, in nanoseconds, stage by stage
 /// along the serving pipeline (admission → extraction → prepare →
 /// finalize → descend).
@@ -19,7 +21,7 @@ pub struct StageBreakdown {
     /// Admission-queue wait: submit → a worker picked the entry up
     /// (≈0 on the inline path).
     pub queue_wait_ns: u64,
-    /// Feasible-graph extraction (0 on a feasible-cache hit).
+    /// Feasible-view extraction (0 on a feasible-cache hit).
     pub extract_ns: u64,
     /// Pivot preparation phase 1 (`prepare_pivot`) — availability
     /// buffers, Definition-4 runs. STGQ sequential engines only; 0
@@ -41,42 +43,39 @@ pub struct StageBreakdown {
     pub total_ns: u64,
 }
 
-/// One solved query's flight record: identity, stage spans, and the
-/// search/cache counters the solve touched.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct QueryTrace {
-    /// The initiator vertex.
-    pub initiator: u32,
-    /// Human-readable query + engine label, e.g.
-    /// `stgq(p=4,s=2,k=2,m=4)/exact`.
-    pub query: String,
-    /// Stage spans.
-    pub stages: StageBreakdown,
-    /// Objective of the answer (`None` = infeasible).
-    pub objective: Option<u64>,
-    /// Why the solve returned: `"completed"`, `"frame_budget"` or
-    /// `"cancelled"`.
-    pub stop: &'static str,
-    /// Whether the answer is proven optimal / proven infeasible.
-    pub exact: bool,
-    /// Whether the feasible graph came from the cache.
-    pub feasible_cache_hit: bool,
-    /// Search frames entered.
-    pub frames: u64,
-    /// Frames abandoned by the incumbent distance bound.
-    pub frames_pruned_by_bound: u64,
-    /// Frames abandoned by the k-plex matching bound.
-    pub frames_pruned_by_match: u64,
-    /// Pivot slots prepared (STGQ only).
-    pub pivots_processed: u64,
-    /// Prepared pivots retired without opening a frame.
-    pub pivots_skipped: u64,
-    /// Candidates removed by fixpoint core peeling.
-    pub peeled_candidates: u64,
-    /// Availability words answered incrementally instead of rebuilt.
-    pub prep_words_delta: u64,
-    /// Availability words rebuilt from calendar words.
-    pub prep_words_rebuilt: u64,
+crate::counter_table! {
+    /// One solved query's flight record: identity, stage spans, and the
+    /// search counters the solve touched (fed by the engine's counter
+    /// table, whose rows name the trace field they fill).
+    #[derive(Clone, Debug, Default, PartialEq, Eq)]
+    pub struct QueryTrace in "trace" {
+        frames: counter "Search frames entered.",
+        frames_pruned_by_bound: counter "Frames abandoned by the incumbent distance bound (Lemma 2).",
+        frames_pruned_by_match: counter "Frames abandoned by the k-plex matching bound.",
+        pivots_processed: counter "Pivot slots prepared (STGQ only).",
+        pivots_skipped: counter "Prepared pivots retired without opening a frame.",
+        peeled_candidates: counter "Candidates removed by fixpoint core peeling.",
+        prep_words_delta: counter "Availability words answered by the run cache instead of rebuilt.",
+        prep_words_rebuilt: counter "Availability words rebuilt from calendar words.",
+    }
+    extra {
+        /// The initiator vertex.
+        pub initiator: u32,
+        /// Human-readable query + engine label, e.g.
+        /// `stgq(p=4,s=2,k=2,m=4)/exact`.
+        pub query: String,
+        /// Stage spans.
+        pub stages: StageBreakdown,
+        /// Objective of the answer (`None` = infeasible).
+        pub objective: Option<u64>,
+        /// Why the solve returned: `"completed"`, `"frame_budget"` or
+        /// `"cancelled"`.
+        pub stop: &'static str,
+        /// Whether the answer is proven optimal / proven infeasible.
+        pub exact: bool,
+        /// Whether the feasible view came from the cache.
+        pub feasible_cache_hit: bool,
+    }
 }
 
 fn json_escape(s: &str, out: &mut String) {
@@ -89,6 +88,13 @@ fn json_escape(s: &str, out: &mut String) {
             c => out.push(c),
         }
     }
+}
+
+fn push_key_value(out: &mut String, key: &str, value: u64) {
+    out.push_str(",\"");
+    out.push_str(key);
+    out.push_str("\":");
+    out.push_str(&value.to_string());
 }
 
 impl QueryTrace {
@@ -124,20 +130,10 @@ impl QueryTrace {
             ("descend_ns", st.descend_ns),
             ("solve_ns", st.solve_ns),
             ("total_ns", st.total_ns),
-            ("frames", self.frames),
-            ("frames_pruned_by_bound", self.frames_pruned_by_bound),
-            ("frames_pruned_by_match", self.frames_pruned_by_match),
-            ("pivots_processed", self.pivots_processed),
-            ("pivots_skipped", self.pivots_skipped),
-            ("peeled_candidates", self.peeled_candidates),
-            ("prep_words_delta", self.prep_words_delta),
-            ("prep_words_rebuilt", self.prep_words_rebuilt),
         ] {
-            s.push_str(",\"");
-            s.push_str(name);
-            s.push_str("\":");
-            s.push_str(&v.to_string());
+            push_key_value(&mut s, name, v);
         }
+        self.for_each_row(|row, v| push_key_value(&mut s, row.name, v));
         s.push('}');
         s
     }
@@ -297,6 +293,26 @@ mod tests {
             .map(|t| (t.initiator, t.stages.total_ns))
             .collect();
         assert_eq!(slow, vec![(3, 9000), (4, 4000)], "slowest two, sorted");
+    }
+
+    #[test]
+    fn every_trace_row_appears_exactly_once_in_the_json() {
+        let t = trace(7, 1234);
+        let json = t.to_json();
+        let mut rows = 0;
+        t.for_each_row(|row, value| {
+            rows += 1;
+            assert_eq!(row.layer, "trace");
+            let key = format!("\"{}\":", row.name);
+            assert_eq!(json.matches(&key).count(), 1, "{} in {json}", row.name);
+            assert!(
+                json.contains(&format!("{key}{value}")),
+                "{} value in {json}",
+                row.name
+            );
+        });
+        assert_eq!(rows, QueryTrace::ROWS.len());
+        assert!(rows >= 8, "the trace carries the search counters");
     }
 
     #[test]

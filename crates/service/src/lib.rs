@@ -14,7 +14,7 @@
 //!   extraction a **thin façade** over the execution subsystem: the
 //!   planner owns the mutable world and publishes immutable epoch
 //!   snapshots into an [`Executor`](stgq_exec::Executor), which owns the
-//!   shard-partitioned feasible-graph cache, engine dispatch
+//!   shard-partitioned feasible-view cache, engine dispatch
 //!   ([`Engine`]: exact, parallel, anytime, greedy, local search), the
 //!   admission queue + batch scheduler + fixed worker pool, and the
 //!   execution counters. Every answer carries provenance

@@ -4,7 +4,7 @@
 //! The planner owns the *mutable* world (the [`MutableNetwork`] and the
 //! [`CalendarStore`]) and an [`Executor`] owning everything about
 //! *answering* queries: the epoch-swapped immutable snapshots, the
-//! shard-partitioned feasible-graph cache, engine dispatch, the
+//! shard-partitioned feasible-view cache, engine dispatch, the
 //! admission queue + batch scheduler + fixed worker pool, and the
 //! execution counters. Mutations stay planner methods (`&mut self`,
 //! version-bumping); before any query the planner compares the mutable
@@ -18,7 +18,7 @@
 //! batching → the worker pool, where identical entries are collapsed
 //! and same-initiator entries share cache locality.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -135,81 +135,20 @@ impl PlanReply {
     }
 }
 
-/// Point-in-time view of the service counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MetricsSnapshot {
-    /// Planning queries served.
-    pub queries: u64,
-    /// Mutations applied (network + calendar).
-    pub mutations: u64,
-    /// Feasible-graph cache hits.
-    pub feasible_cache_hits: u64,
-    /// Feasible-graph cache misses (each triggered an extraction).
-    pub feasible_cache_misses: u64,
-    /// CSR snapshot rebuilds.
-    pub snapshot_rebuilds: u64,
-    /// Feasible graphs currently cached.
-    pub cached_feasible_graphs: usize,
-    /// Search frames examined by exact engines, summed over all queries
-    /// served (the quantity the search-reduction work drives down).
-    pub frames_examined: u64,
-    /// Frames abandoned by the incumbent distance bound (Lemma 2), summed
-    /// over all exact queries.
-    pub frames_pruned_by_bound: u64,
-    /// Whole pivots skipped by the pivot-granularity distance bound,
-    /// summed over all exact STGQ queries.
-    pub pivots_skipped: u64,
-    /// Candidates removed by fixpoint (p, k)-core peeling before exact
-    /// descent, summed over all exact queries.
-    pub peeled_candidates: u64,
-    /// Pivots refused outright because their peeled core could not seat
-    /// a feasible group, summed over all exact STGQ queries.
-    pub pivots_refused_by_core: u64,
-    /// Frames abandoned by the k-plex matching bound, summed over all
-    /// exact queries.
-    pub frames_pruned_by_match: u64,
-    /// Children retired at the parent frame by the per-candidate
-    /// completion bound (child frames never opened), summed over all
-    /// exact queries.
-    pub children_pruned_by_parent_bound: u64,
-    /// Availability-buffer words whose rebuild was avoided by the
-    /// incremental-prep run cache, summed over all exact STGQ queries.
-    pub prep_words_delta: u64,
-    /// Availability-buffer words actually built from calendar words
-    /// during pivot preparation, summed over all exact STGQ queries.
-    pub prep_words_rebuilt: u64,
-    /// Definition-4 runs served by the workers' cross-solve run caches
-    /// under the world-version handshake, summed over all exact STGQ
-    /// queries.
-    pub run_cache_cross_solve_hits: u64,
-    /// Adjacency words generated in place by zero-copy `FeasibleView`
-    /// extraction on feasible-cache misses (candidate rows masked
-    /// against the snapshot's CSR segments).
-    pub extract_words_borrowed: u64,
-    /// Entries that went through the batched executor path.
-    pub batched_entries: u64,
-    /// Batched entries answered by request collapsing (solved once,
-    /// shared within a shard job).
-    pub collapsed_entries: u64,
-    /// Whole answers replayed from the version-stamped result cache
-    /// (repeat queries across batches and the inline path on an
-    /// unchanged world).
-    pub result_cache_hits: u64,
-    /// Result-cache lookups that missed (fresh query or moved epoch).
-    pub result_cache_misses: u64,
-    /// Result-cache entries evicted at lookup because a shard they were
-    /// stamped with had moved (delta-scoped invalidation).
-    pub result_cache_evicted_stale_shard: u64,
-    /// Result-cache entries evicted to make room at capacity.
-    pub result_cache_evicted_capacity: u64,
-    /// Per-shard sub-snapshots publication actually rebuilt (dirty
-    /// shards, graph + calendar axes).
-    pub snapshot_shards_rebuilt: u64,
-    /// Per-shard sub-snapshots carried over by `Arc` reuse from the
-    /// previous epoch.
-    pub snapshot_shards_reused: u64,
-    /// Solves stopped early by a deadline or cancellation token.
-    pub cancelled: u64,
+stgq_obs::counter_table! {
+    /// Point-in-time view of the service counters: the planner's own
+    /// rows plus the executor's whole table.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct MetricsSnapshot in "service" {
+        mutations: counter "Mutations applied (network + calendar).",
+        /// Publications whose graph axis moved.
+        snapshot_rebuilds: counter "CSR snapshot rebuilds.",
+    }
+    extra {
+        /// The executor's counters (queries, caches, search, publication).
+        pub exec: ExecMetrics,
+    }
+    atomic struct ServiceCounters;
 }
 
 /// A long-lived activity-planning service instance.
@@ -228,8 +167,7 @@ pub struct Planner {
     /// version stamps (in a `Mutex` only so read-side accessors take
     /// `&self`; mutations already hold `&mut self`).
     deltas: Mutex<DeltaLog>,
-    mutations: AtomicU64,
-    snapshot_rebuilds: AtomicU64,
+    counters: ServiceCounters,
 }
 
 /// Default bound on distinct `(initiator, s)` feasible graphs kept.
@@ -242,7 +180,7 @@ impl Planner {
         Planner::with_config(horizon, SelectConfig::default(), DEFAULT_CACHE_CAPACITY)
     }
 
-    /// Full-control constructor (engine configuration + feasible-graph
+    /// Full-control constructor (engine configuration + feasible-view
     /// cache capacity, with default executor sizing).
     pub fn with_config(horizon: usize, cfg: SelectConfig, cache_capacity: usize) -> Self {
         Planner::with_exec_config(
@@ -271,8 +209,7 @@ impl Planner {
             exec,
             publish_lock: Mutex::new(()),
             deltas: Mutex::new(DeltaLog::new(DEFAULT_DELTA_LOG_CAPACITY)),
-            mutations: AtomicU64::new(0),
-            snapshot_rebuilds: AtomicU64::new(0),
+            counters: ServiceCounters::default(),
         }
     }
 
@@ -281,7 +218,7 @@ impl Planner {
     /// promoted replica's mirror becomes the new writer, and every future
     /// mutation continues the cluster's global version numbering instead
     /// of restarting from zero (version stamps key result and
-    /// feasible-graph caches across the fleet, so a restart would alias
+    /// feasible-view caches across the fleet, so a restart would alias
     /// old cached answers onto new world content).
     ///
     /// The new delta log is empty but numbered after `state.seq`: any
@@ -303,8 +240,7 @@ impl Planner {
             exec,
             publish_lock: Mutex::new(()),
             deltas: Mutex::new(DeltaLog::resume(DEFAULT_DELTA_LOG_CAPACITY, state.seq)),
-            mutations: AtomicU64::new(0),
-            snapshot_rebuilds: AtomicU64::new(0),
+            counters: ServiceCounters::default(),
         })
     }
 
@@ -337,7 +273,7 @@ impl Planner {
         self.deltas
             .lock()
             .record(delta, self.network.version(), self.calendars.version());
-        self.mutations.fetch_add(1, Ordering::Relaxed);
+        self.counters.mutations.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Register a person; their calendar starts fully unavailable.
@@ -479,39 +415,14 @@ impl Planner {
     /// [`Executor`]; see [`exec_metrics`](Self::exec_metrics) for the
     /// full executor view).
     pub fn metrics(&self) -> MetricsSnapshot {
-        let e = self.exec.metrics();
         MetricsSnapshot {
-            queries: e.queries,
-            mutations: self.mutations.load(Ordering::Relaxed),
-            feasible_cache_hits: e.feasible_cache_hits,
-            feasible_cache_misses: e.feasible_cache_misses,
-            snapshot_rebuilds: self.snapshot_rebuilds.load(Ordering::Relaxed),
-            cached_feasible_graphs: e.cached_feasible_graphs,
-            frames_examined: e.frames_examined,
-            frames_pruned_by_bound: e.frames_pruned_by_bound,
-            pivots_skipped: e.pivots_skipped,
-            peeled_candidates: e.peeled_candidates,
-            pivots_refused_by_core: e.pivots_refused_by_core,
-            frames_pruned_by_match: e.frames_pruned_by_match,
-            children_pruned_by_parent_bound: e.children_pruned_by_parent_bound,
-            prep_words_delta: e.prep_words_delta,
-            prep_words_rebuilt: e.prep_words_rebuilt,
-            run_cache_cross_solve_hits: e.run_cache_cross_solve_hits,
-            extract_words_borrowed: e.extract_words_borrowed,
-            batched_entries: e.batched_entries,
-            collapsed_entries: e.collapsed_entries,
-            result_cache_hits: e.result_cache_hits,
-            result_cache_misses: e.result_cache_misses,
-            result_cache_evicted_stale_shard: e.result_cache_evicted_stale_shard,
-            result_cache_evicted_capacity: e.result_cache_evicted_capacity,
-            snapshot_shards_rebuilt: e.snapshot_shards_rebuilt,
-            snapshot_shards_reused: e.snapshot_shards_reused,
-            cancelled: e.cancelled,
+            exec: self.exec.metrics(),
+            ..self.counters.load()
         }
     }
 
-    /// The raw executor counters (shard jobs, snapshot publishes, pool
-    /// sizing — everything [`MetricsSnapshot`] doesn't surface).
+    /// The executor's counters alone (the `exec` part of
+    /// [`metrics`](Self::metrics)).
     pub fn exec_metrics(&self) -> ExecMetrics {
         self.exec.metrics()
     }
@@ -556,7 +467,9 @@ impl Planner {
             versions,
         );
         if graph_moved {
-            self.snapshot_rebuilds.fetch_add(1, Ordering::Relaxed);
+            self.counters
+                .snapshot_rebuilds
+                .fetch_add(1, Ordering::Relaxed);
         }
         let snapshot = Arc::new(snapshot);
         self.exec.publish_snapshot(Arc::clone(&snapshot));
@@ -574,11 +487,12 @@ impl Planner {
                 person: initiator,
                 person_count: node_count,
             },
-            ExecError::NoSnapshot | ExecError::EpochTooOld { .. } | ExecError::ShuttingDown => {
-                ServiceError::ExecutorUnavailable {
-                    reason: e.to_string(),
-                }
-            }
+            ExecError::NoSnapshot
+            | ExecError::EpochTooOld { .. }
+            | ExecError::ShuttingDown
+            | ExecError::Internal { .. } => ServiceError::ExecutorUnavailable {
+                reason: e.to_string(),
+            },
         }
     }
 
@@ -811,7 +725,7 @@ mod tests {
         let r2 = p.plan_stgq(ids[0], &q, Engine::Exact).unwrap();
         assert!(
             r2.feasible_cache_hit,
-            "calendar edits must not invalidate the feasible-graph cache"
+            "calendar edits must not invalidate the feasible-view cache"
         );
         let d1 = r1.solution.unwrap().total_distance;
         match &r2.solution {
@@ -896,10 +810,10 @@ mod tests {
         p.plan_sgq(ids[0], &q, Engine::Exact).unwrap();
         p.plan_sgq(ids[1], &q, Engine::Exact).unwrap();
         let m = p.metrics();
-        assert_eq!(m.queries, 3);
-        assert_eq!(m.feasible_cache_hits, 1);
-        assert_eq!(m.feasible_cache_misses, 2);
-        assert_eq!(m.cached_feasible_graphs, 2);
+        assert_eq!(m.exec.queries, 3);
+        assert_eq!(m.exec.feasible_cache_hits, 1);
+        assert_eq!(m.exec.feasible_cache_misses, 2);
+        assert_eq!(m.exec.cached_feasible_graphs, 2);
         assert_eq!(
             m.snapshot_rebuilds, 1,
             "one snapshot serves both extractions"
@@ -919,8 +833,8 @@ mod tests {
             r1.solution.as_ref().map(|s| s.total_distance)
         );
         let m = p.metrics();
-        assert_eq!(m.result_cache_hits, 1);
-        assert!(m.result_cache_misses >= 1);
+        assert_eq!(m.exec.result_cache_hits, 1);
+        assert!(m.exec.result_cache_misses >= 1);
 
         // Delta-scoped stamps sharpen the old "any mutation invalidates"
         // rule: an SGQ reads no calendars, so a calendar edit leaves its
@@ -969,15 +883,27 @@ mod tests {
         p.connect(ids[0], ids[8], 2).unwrap();
         p.plan_sgq(ids[0], &q, Engine::Exact).unwrap();
         let m1 = p.metrics();
-        assert_eq!(m1.snapshot_shards_rebuilt - m0.snapshot_shards_rebuilt, 1);
-        assert_eq!(m1.snapshot_shards_reused - m0.snapshot_shards_reused, 7);
+        assert_eq!(
+            m1.exec.snapshot_shards_rebuilt - m0.exec.snapshot_shards_rebuilt,
+            1
+        );
+        assert_eq!(
+            m1.exec.snapshot_shards_reused - m0.exec.snapshot_shards_reused,
+            7
+        );
 
         // A calendar delta in community 1 likewise republishes one block.
         p.set_availability(ids[1], 3, false).unwrap();
         p.plan_sgq(ids[1], &q, Engine::Exact).unwrap();
         let m2 = p.metrics();
-        assert_eq!(m2.snapshot_shards_rebuilt - m1.snapshot_shards_rebuilt, 1);
-        assert_eq!(m2.snapshot_shards_reused - m1.snapshot_shards_reused, 7);
+        assert_eq!(
+            m2.exec.snapshot_shards_rebuilt - m1.exec.snapshot_shards_rebuilt,
+            1
+        );
+        assert_eq!(
+            m2.exec.snapshot_shards_reused - m1.exec.snapshot_shards_reused,
+            7
+        );
         assert_eq!(
             m2.snapshot_rebuilds, m1.snapshot_rebuilds,
             "no graph segment moved, so no graph rebuild is counted"
@@ -1043,8 +969,8 @@ mod tests {
         let r1 = p.plan_sgq(ids[1], &q, Engine::Exact).unwrap();
         assert!(!r1.result_cache_hit, "shard-1 entry is stale");
         let m = p.metrics();
-        assert_eq!(m.result_cache_evicted_stale_shard, 1);
-        assert_eq!(m.result_cache_evicted_capacity, 0);
+        assert_eq!(m.exec.result_cache_evicted_stale_shard, 1);
+        assert_eq!(m.exec.result_cache_evicted_capacity, 0);
     }
 
     #[test]
@@ -1097,25 +1023,26 @@ mod tests {
         let (p, ids) = demo();
         let q = StgqQuery::new(3, 1, 0, 3).unwrap();
         let m0 = p.metrics();
-        assert_eq!(m0.frames_examined + m0.pivots_skipped, 0);
+        assert_eq!(m0.exec.frames_examined + m0.exec.pivots_skipped, 0);
         p.plan_stgq(ids[0], &q, Engine::Exact).unwrap();
         let m1 = p.metrics();
         assert!(
-            m1.frames_examined + m1.pivots_skipped > 0,
+            m1.exec.frames_examined + m1.exec.pivots_skipped > 0,
             "a feasible exact solve either examines frames or skips pivots"
         );
         p.plan_stgq(ids[0], &q, Engine::Exact).unwrap();
         let m2 = p.metrics();
         assert!(
-            m2.frames_examined + m2.pivots_skipped >= m1.frames_examined + m1.pivots_skipped,
+            m2.exec.frames_examined + m2.exec.pivots_skipped
+                >= m1.exec.frames_examined + m1.exec.pivots_skipped,
             "counters are cumulative"
         );
         // Heuristic engines report no search stats and must not move them.
         p.plan_stgq(ids[0], &q, Engine::Greedy { restarts: 2 })
             .unwrap();
         let m3 = p.metrics();
-        assert_eq!(m3.frames_examined, m2.frames_examined);
-        assert_eq!(m3.pivots_skipped, m2.pivots_skipped);
+        assert_eq!(m3.exec.frames_examined, m2.exec.frames_examined);
+        assert_eq!(m3.exec.pivots_skipped, m2.exec.pivots_skipped);
     }
 
     #[test]

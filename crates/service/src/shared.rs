@@ -157,7 +157,7 @@ mod tests {
         });
 
         let m = shared.metrics();
-        assert_eq!(m.queries, 200);
+        assert_eq!(m.exec.queries, 200);
     }
 
     #[test]

@@ -138,6 +138,6 @@ fn main() {
     let m = service.metrics();
     println!(
         "\nWeek summary: {} queries, {} mutations, snapshot rebuilds {}, fg-cache {} hits / {} misses",
-        m.queries, m.mutations, m.snapshot_rebuilds, m.feasible_cache_hits, m.feasible_cache_misses
+        m.exec.queries, m.mutations, m.snapshot_rebuilds, m.exec.feasible_cache_hits, m.exec.feasible_cache_misses
     );
 }

@@ -95,10 +95,10 @@ slow-query triage, worked example:
             the incumbent cannot tighten (large p, loose k) or a cold
             incumbent right after a write burst.
        prepare_ns dominating, prep_words_rebuilt >> prep_words_delta
-         -> calendar churn invalidated the incremental-prep run cache:
+         -> calendar churn invalidated the pivot run cache:
             batch mutations between query waves.
        extract_ns large on repeat initiators
-         -> feasible-graph cache evictions: raise the cache capacity
+         -> feasible-view cache evictions: raise the cache capacity
             above the distinct-initiator count.
        queue_wait_ns dominating while solve_ns is modest
          -> admission backlog: add workers (or nodes) rather than
@@ -151,6 +151,7 @@ fn generate(args: &[String]) -> Result<(), String> {
 /// queries/sec for the batched vs the sequential path.
 fn batch(args: &[String]) -> Result<(), String> {
     use stgq::exec::{ExecConfig, QuerySpec};
+    use stgq::obs::CounterTable;
     use stgq::service::{BatchQuery, Engine, Planner};
 
     let data = take_value(args, &["--data", "-d"])?.ok_or("batch requires --data FILE")?;
@@ -233,7 +234,7 @@ fn batch(args: &[String]) -> Result<(), String> {
         })
         .collect();
 
-    // Untimed warmup of both paths: fills the feasible-graph cache and
+    // Untimed warmup of both paths: fills the feasible-view cache and
     // the worker arenas so the timed comparison measures solving, not
     // first-touch extraction order.
     for q in workload.iter().take(distinct as usize * 2) {
@@ -299,46 +300,8 @@ fn batch(args: &[String]) -> Result<(), String> {
         batched.as_secs_f64() * 1e3,
         sequential.as_secs_f64() / batched.as_secs_f64()
     );
-    println!(
-        "  executor: {} shard jobs, {} batched entries, {} collapsed, {} fg-cache hits / {} misses",
-        metrics.shard_jobs,
-        metrics.batched_entries,
-        metrics.collapsed_entries,
-        metrics.feasible_cache_hits,
-        metrics.feasible_cache_misses,
-    );
-    println!(
-        "  search:   {} frames examined, {} pruned by bound, {} pruned by match, {} pivots skipped",
-        metrics.frames_examined,
-        metrics.frames_pruned_by_bound,
-        metrics.frames_pruned_by_match,
-        metrics.pivots_skipped,
-    );
-    println!(
-        "  reduce:   {} candidates peeled, {} pivots refused by core, {} children pruned by parent bound",
-        metrics.peeled_candidates,
-        metrics.pivots_refused_by_core,
-        metrics.children_pruned_by_parent_bound,
-    );
-    println!(
-        "  prep:     {} words delta'd, {} words rebuilt, {} cross-solve run-cache hits",
-        metrics.prep_words_delta, metrics.prep_words_rebuilt, metrics.run_cache_cross_solve_hits,
-    );
-    println!(
-        "  extract:  {} words borrowed (zero-copy view)",
-        metrics.extract_words_borrowed,
-    );
-    println!(
-        "  snapshot: {} publishes, {} shards rebuilt / {} reused",
-        metrics.snapshot_publishes, metrics.snapshot_shards_rebuilt, metrics.snapshot_shards_reused,
-    );
-    println!(
-        "  replay:   {} result-cache hits / {} misses, {} stale-shard evictions, {} capacity evictions",
-        metrics.result_cache_hits,
-        metrics.result_cache_misses,
-        metrics.result_cache_evicted_stale_shard,
-        metrics.result_cache_evicted_capacity,
-    );
+    println!("  executor counters:");
+    metrics.for_each_row(|row, value| println!("    {:<34} {value:>12}", row.name));
     Ok(())
 }
 
@@ -431,7 +394,7 @@ fn cluster(args: &[String]) -> Result<(), String> {
         }
 
         // Untimed warmup: attaches the replicas (full sync) and fills the
-        // per-node feasible-graph caches.
+        // per-node feasible-view caches.
         let mut feasible = 0usize;
         for reply in cluster.plan_batch(&workload) {
             feasible += usize::from(

@@ -78,20 +78,29 @@
 //! descended pivot (`query::StageTimings`), gated by the `obs-overhead`
 //! bench at ≤ 2%.
 //!
-//! The counters and histograms map onto the serving pipeline like this
+//! Every counter, gauge and histogram is declared once, as a row of a
+//! table ([`obs::counter_table!`], [`obs::histogram_table!`]): the
+//! engine's `core::SearchStats`, the executor's `exec::ExecMetrics`
+//! (which folds the engine rows it sums), the planner's
+//! `service::MetricsSnapshot` (`mutations`, `snapshot_rebuilds`, plus the
+//! executor table as `.exec`), the trace's `obs::QueryTrace`, and the
+//! histogram tables `exec::ExecObs::HISTOGRAMS` and
+//! `cluster::RpcObs::HISTOGRAMS`. The exposition, the trace JSON and the
+//! `stgq-plan batch` report iterate those rows, so they list exactly what
+//! is declared. The rows map onto the serving pipeline like this
 //! (histogram families carry the `_ns` suffix in the exposition):
 //!
-//! | Pipeline stage | Histograms | Counters (`MetricsSnapshot`) |
+//! | Pipeline stage | Histograms (`ExecObs` rows) | Counters (`ExecMetrics` / `MetricsSnapshot` rows) |
 //! |---|---|---|
 //! | **admission** — submit → a worker picks the entry up | `queue_wait` | `batched_entries` |
-//! | **shard batch** — group by initiator shard, collapse repeats | — | `collapsed_entries` (and `queries`) |
-//! | **cache** — shard-stamped result replay, feasible-view lookup (one stamped cache type) | `end_to_end` low mode | `result_cache_hits`/`misses`, `result_cache_evicted_*`, `feasible_cache_hits`/`misses` |
+//! | **shard batch** — group by initiator shard, collapse repeats | — | `shard_jobs`, `collapsed_entries` (and `queries`) |
+//! | **cache** — shard-stamped result replay, feasible-view lookup (one stamped cache type) | `end_to_end` low mode | `result_cache_hits`/`misses`, `result_cache_evicted_*`, `feasible_cache_hits`/`misses`; gauges `cached_results`, `cached_feasible_graphs` |
 //! | **extract** — zero-copy candidate view over the snapshot's CSR segments | `feasible_extract` | `extract_words_borrowed` |
 //! | **prepare** — pivot availability buffers, run cache shared across solves | `prep` | `prep_words_delta`, `prep_words_rebuilt`, `run_cache_cross_solve_hits` |
 //! | **peel** — fixpoint (p, k)-core reduction before descent | inside `solve` | `peeled_candidates`, `pivots_refused_by_core` |
 //! | **floor** — pivot-granularity distance bound skipping whole pivots | inside `solve` | `pivots_skipped` |
-//! | **descend** — the exact branch & bound itself | `descend`, `solve` | `frames_examined`, `frames_pruned_by_bound`, `frames_pruned_by_match`, `children_pruned_by_parent_bound`, `cancelled` |
-//! | **publish** — epoch-swapped snapshot rebuild after mutations | `snapshot_publish` | `snapshot_rebuilds`, `snapshot_shards_rebuilt`/`reused`, `mutations` |
+//! | **descend** — the exact branch & bound itself | `descend`, `solve` | `frames_examined`, `frames_pruned_by_bound`, `frames_pruned_by_match`, `children_pruned_by_parent_bound`, `cancelled`, `worker_panics` (a panicking solve, contained to its request) |
+//! | **publish** — epoch-swapped snapshot rebuild after mutations | `snapshot_publish` | `snapshot_rebuilds`, `snapshot_publishes`, `snapshot_shards_rebuilt`/`reused`, `mutations` |
 //!
 //! End-to-end latency (`end_to_end`) spans the whole row set: queue wait
 //! plus the answer envelope, sampled for every answer including replays.

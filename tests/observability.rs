@@ -92,26 +92,29 @@ fn planner_exposition_round_trips_and_matches_its_counters() {
     assert_eq!(report.family_type("stgq_queries"), Some("counter"));
     assert_eq!(
         report.value("stgq_queries", &[]),
-        Some(m.queries as f64),
+        Some(m.exec.queries as f64),
         "rendered counter must equal the snapshot"
     );
     assert_eq!(
         report.value("stgq_result_cache_hits", &[]),
-        Some(m.result_cache_hits as f64)
+        Some(m.exec.result_cache_hits as f64)
     );
-    assert!(m.result_cache_hits >= batch.len() as u64, "pass 2 replays");
+    assert!(
+        m.exec.result_cache_hits >= batch.len() as u64,
+        "pass 2 replays"
+    );
 
     // Every answer samples end-to-end; only actual solves sample solve.
     let end_to_end = report.value("stgq_end_to_end_ns_count", &[]).unwrap();
     let solve = report.value("stgq_solve_ns_count", &[]).unwrap();
-    assert_eq!(end_to_end, m.queries as f64);
+    assert_eq!(end_to_end, m.exec.queries as f64);
     assert!(solve > 0.0 && solve < end_to_end, "replays skip the engine");
     // The prep/descend split only samples exact sequential STGQ solves.
     assert!(report.value("stgq_prep_ns_count", &[]).unwrap() > 0.0);
     assert!(report.value("stgq_descend_ns_count", &[]).unwrap() > 0.0);
     assert_eq!(
         report.value("stgq_queue_wait_ns_count", &[]),
-        Some(m.batched_entries as f64),
+        Some(m.exec.batched_entries as f64),
         "every batched entry waits in the admission queue exactly once"
     );
 }
@@ -356,5 +359,5 @@ fn replays_sample_end_to_end_but_never_solve_traces_or_cancellations() {
     assert_eq!(obs.end_to_end.count(), 2);
     assert_eq!(obs.solve.count(), 1, "a replay never samples solve");
     assert_eq!(obs.recorder.traces().len(), 1, "a replay never traces");
-    assert_eq!(planner.metrics().cancelled, 0);
+    assert_eq!(planner.metrics().exec.cancelled, 0);
 }

@@ -152,10 +152,10 @@ proptest! {
         let m_sharded = sharded.metrics();
         let m_flood = flood.metrics();
         prop_assert!(
-            m_sharded.result_cache_hits >= m_flood.result_cache_hits,
+            m_sharded.exec.result_cache_hits >= m_flood.exec.result_cache_hits,
             "delta-scoped stamps must hit at least as often ({} < {})",
-            m_sharded.result_cache_hits,
-            m_flood.result_cache_hits
+            m_sharded.exec.result_cache_hits,
+            m_flood.exec.result_cache_hits
         );
     }
 }
@@ -207,7 +207,7 @@ fn a_single_community_delta_rebuilds_and_evicts_one_shard_at_100k_members() {
     assert!(!p.plan_sgq(xa, &q, Engine::Exact).unwrap().result_cache_hit);
     assert!(!p.plan_sgq(ya, &q, Engine::Exact).unwrap().result_cache_hit);
     let m0 = p.metrics();
-    assert_eq!(m0.snapshot_shards_rebuilt, 2 * SHARDS as u64);
+    assert_eq!(m0.exec.snapshot_shards_rebuilt, 2 * SHARDS as u64);
 
     // One delta, confined to community A: re-weight an intra-community
     // edge (both endpoints share community A's residue class).
@@ -222,9 +222,12 @@ fn a_single_community_delta_rebuilds_and_evicts_one_shard_at_100k_members() {
         "an untouched community keeps replaying"
     );
     let m1 = p.metrics();
-    assert_eq!(m1.snapshot_shards_rebuilt - m0.snapshot_shards_rebuilt, 1);
     assert_eq!(
-        m1.snapshot_shards_reused - m0.snapshot_shards_reused,
+        m1.exec.snapshot_shards_rebuilt - m0.exec.snapshot_shards_rebuilt,
+        1
+    );
+    assert_eq!(
+        m1.exec.snapshot_shards_reused - m0.exec.snapshot_shards_reused,
         2 * SHARDS as u64 - 1
     );
 
@@ -232,8 +235,8 @@ fn a_single_community_delta_rebuilds_and_evicts_one_shard_at_100k_members() {
     let ra = p.plan_sgq(xa, &q, Engine::Exact).unwrap();
     assert!(!ra.result_cache_hit, "the touched community re-solves");
     let m2 = p.metrics();
-    assert_eq!(m2.result_cache_evicted_stale_shard, 1);
-    assert_eq!(m2.result_cache_evicted_capacity, 0);
+    assert_eq!(m2.exec.result_cache_evicted_stale_shard, 1);
+    assert_eq!(m2.exec.result_cache_evicted_capacity, 0);
 }
 
 /// Batched execution through the worker pool is bit-identical to
